@@ -48,6 +48,7 @@ from .metrics import (
     complexity_report,
     count_levels,
     gap,
+    gap_scores,
     min_adjacent_row_gap,
     pair_score,
     pairwise_gaps,

@@ -63,6 +63,7 @@ def _cmd_generate(args) -> int:
         family=args.family, n=args.n, m=args.m, seed=args.seed,
         blocks=args.blocks, path=args.custom_path,
     )
+    noise = synth.NoiseSpec(kind=args.noise, sigma=args.sigma, seed=args.seed)
     truth = synth.gen_truth(spec)
     write_matrix_csv(truth, args.out)
     if args.perm_out or args.obs_out:
@@ -71,7 +72,6 @@ def _cmd_generate(args) -> int:
         if args.perm_out:
             write_permutation(p, args.perm_out)
         if args.obs_out:
-            noise = synth.NoiseSpec(kind=args.noise, sigma=args.sigma, seed=args.seed)
             y = synth.gen_observation(truth, p, noise)
             write_matrix_csv(y, args.obs_out)
     return 0
@@ -90,7 +90,7 @@ def _add_metrics(sub):
 def _cmd_metrics(args) -> int:
     a = read_matrix_csv(args.matrix)
     report = metrics.complexity_report(a, quantize=args.quantize)
-    print(json.dumps(report.to_json_dict()))
+    print(json.dumps(report.to_json_dict(), allow_nan=False))
     return 0
 
 
@@ -173,7 +173,7 @@ def _cmd_estimate(args) -> int:
         }
     else:
         summary["losses"] = None
-    print(json.dumps(summary))
+    print(json.dumps(summary, allow_nan=False))
     if args.fitted_out:
         write_matrix_csv(fit.m_hat, args.fitted_out)
     return 0
@@ -242,7 +242,7 @@ def _cmd_experiment(args) -> int:
                 "slope": fitres.slope,
                 "intercept": fitres.intercept,
                 "r_squared": fitres.r_squared,
-            }))
+            }, allow_nan=False))
     return 0
 
 

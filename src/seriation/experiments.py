@@ -82,6 +82,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        # sigma scales the noise of every method and the rankscore threshold;
+        # all three must be finite and >= 0, as the estimator requires
+        EstimatorConfig(sigma=self.sigma, tau=self.tau, tau_constant=self.tau_constant)
+        if "rankscore" in methods and self.tau is None and self.tau_constant is None:
+            raise ValueError("rankscore needs tau or tau_constant")
         if self.grid is not None:
             grid = tuple((int(n), int(m)) for n, m in self.grid)
             if any(n < 1 or m < 1 for n, m in grid):

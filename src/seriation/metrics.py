@@ -177,9 +177,10 @@ def gap(a, i: int, i2: int, scale: str = "raw", sigma: float | None = None) -> f
 def pairwise_gaps(a) -> np.ndarray:
     """All row gaps at once: ``out[l, i] = gap(a, l, i)``.
 
-    O(n^2 m) time and O(n^2) memory: the columnwise max is accumulated one
-    column at a time into a reused (n, n) buffer, which keeps the working
-    set small at desk scale (n up to a few thousand).
+    The O(n^2)-memory reference and diagnostic: two (n, n) float64 buffers
+    (16 MB at n = 1024) and O(n^2 m) time, the columnwise max accumulated
+    one column at a time. :func:`gap_scores` counts thresholded gaps
+    without forming this matrix and is tested against it.
     """
     a = check_matrix(a)
     n, m = a.shape
@@ -191,6 +192,91 @@ def pairwise_gaps(a) -> np.ndarray:
         np.subtract(col[None, :], col[:, None], out=diff)
         np.maximum(out, diff, out=out)
     return out
+
+
+# Columns per pass of gap_scores. Its sort and search buffers are
+# (_SCORE_BLOCK, n); one pass over all columns at once costs tens of MB at
+# desk scale.
+_SCORE_BLOCK = 64
+
+# Number of set bits of each byte value.
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def gap_scores(a, threshold: float) -> np.ndarray:
+    """Per row ``i``, the number of rows ``l`` with ``gap(a, l, i) >= threshold``.
+
+    Equals ``np.count_nonzero(pairwise_gaps(a) >= threshold, axis=0)`` on
+    every finite input, without forming the gap matrix. The count is exact
+    because:
+
+    * ``pairwise_gaps`` takes the float max of the terms
+      ``rowsum[i] - rowsum[l]`` and ``a[i, j] - a[l, j]``, with
+      ``rowsum = a.sum(axis=1) / sqrt(m)``. This function evaluates the same
+      expressions on the same array, so every term is the same float.
+    * For non-NaN floats ``max_k d_k >= t`` holds exactly when some
+      ``d_k >= t``, so the row-sum branch is just one more column and the hit
+      set of row ``i`` is the union over columns.
+    * Rounding is monotone, so ``x -> fl(a[i, j] - x)`` is non-increasing and
+      ``{l : a[i, j] - a[l, j] >= t}`` is a prefix of column j's sort order,
+      ties included. A vectorised binary search finds its length by
+      evaluating that very subtraction against the sorted column (not
+      ``a[i, j] - t``, which rounds differently).
+    * Row ``i``'s hits are the OR over columns of packed ``uint64`` prefix
+      bitsets, built per column by a cumulative OR over one-hot rows, and the
+      score is their popcount.
+
+    Columns go in blocks of ``_SCORE_BLOCK``: O(n m log n + n^2 m / 64) word
+    operations and O(n * _SCORE_BLOCK + n^2 / 8) bytes of transient memory.
+    A row sum that overflows to inf makes some reference gaps NaN
+    (``inf - inf``), which no union can express; such input is counted by
+    the reference.
+    """
+    a = check_matrix(a)
+    n, m = a.shape
+    rowsum = a.sum(axis=1) / np.sqrt(m)
+    if not np.all(np.isfinite(rowsum)):
+        return np.count_nonzero(pairwise_gaps(a) >= threshold, axis=0)
+    words = (n + 63) // 64
+    hits = np.zeros((n, words), dtype=np.uint64)
+    _or_prefix_hits(rowsum[None, :], threshold, hits)
+    for j0 in range(0, m, _SCORE_BLOCK):
+        block = np.ascontiguousarray(a[:, j0:j0 + _SCORE_BLOCK].T)
+        _or_prefix_hits(block, threshold, hits)
+    return _POPCOUNT8[hits.view(np.uint8)].sum(axis=1, dtype=np.int64)
+
+
+def _or_prefix_hits(cols, t: float, hits: np.ndarray) -> None:
+    """OR into ``hits[i]`` the bitset ``{l : cols[j, i] - cols[j, l] >= t}``
+    for every row ``j`` of the (c, n) block ``cols``."""
+    c, n = cols.shape
+    order = np.argsort(cols, axis=1)
+    ranked = np.take_along_axis(cols, order, axis=1).ravel()
+    # ends[j, i]: length of row i's prefix of ranked[j], built up one power
+    # of two at a time
+    ends = np.zeros((c, n), dtype=np.intp)
+    base = np.arange(0, c * n, n)[:, None]
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        probe = ends + (step - 1)
+        inside = probe < n
+        np.minimum(probe, n - 1, out=probe)
+        probe += base
+        inside &= cols - ranked.take(probe) >= t
+        ends += step * inside
+        step >>= 1
+    word = order >> 6
+    bit = np.left_shift(np.uint64(1), (order & 63).astype(np.uint64))
+    below = np.arange(1, n + 1)
+    prefix = np.empty((n + 1, hits.shape[1]), dtype=np.uint64)
+    picked = np.empty_like(hits)
+    for j in range(c):
+        # prefix[k] = bitset of the rows ranked[j, :k]
+        prefix.fill(0)
+        prefix[below, word[j]] = bit[j]
+        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+        np.take(prefix, ends[j], axis=0, out=picked)
+        hits |= picked
 
 
 def min_adjacent_row_gap(a) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ class TestGenerate:
         run_cli(capsys, "generate", "--family", "random-k-blocks", "--n", 10,
                 "--m", 2, "--seed", 3, "--out", pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_non_finite_sigma_is_error_code(self, tmp_path, capsys):
+        out, obs = tmp_path / "a.csv", tmp_path / "y.csv"
+        code, _, err = run_cli(capsys, "generate", "--family", "triangular",
+                               "--n", 4, "--m", 4, "--out", out,
+                               "--sigma", "nan", "--obs-out", obs)
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+        assert not out.exists() and not obs.exists()
 
     def test_bad_family_exits_nonzero(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -110,6 +120,26 @@ class TestEstimate:
         assert code == 2
         assert "perm" in err
 
+    def test_oracle_perm_length_mismatch(self, instance, tmp_path, capsys):
+        _, _, obs = instance
+        perm = tmp_path / "p10.txt"
+        perm.write_text("".join(f"{i}\n" for i in range(10)))
+        code, _, err = run_cli(capsys, "estimate", "--method", "oracle",
+                               "--in", obs, "--perm", perm)
+        assert code == 2
+        assert err.startswith("error:") and "10 rows" in err
+
+    @pytest.mark.parametrize("flags", [("--tau", "nan"), ("--tau", "inf"),
+                                       ("--tau-rule", "--sigma", "nan"),
+                                       ("--tau-rule", "--tau-c", "inf")])
+    def test_non_finite_threshold_is_error_code(self, instance, capsys, flags):
+        _, _, obs = instance
+        code, out, err = run_cli(capsys, "estimate", "--method", "rankscore",
+                                 "--in", obs, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
     def test_oracle_with_perm_and_fitted_out(self, instance, tmp_path, capsys):
         truth, perm, obs = instance
         fitted = tmp_path / "fit.csv"
@@ -175,6 +205,19 @@ class TestExperiment:
                                  "--replications", 1, "--seed", 4, "--out", path)
             assert code == 0
         assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("fields", [{"sigma": math.nan},
+                                        {"methods": ["rankscore"], "tau": None}])
+    def test_invalid_config_is_error_code(self, tmp_path, capsys, fields):
+        cfg = {"family": "random-v-bounded", "methods": ["oracle"],
+               "grid": [[4, 2]], "replications": 1, **fields}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, "experiment", "--config", cfg_path, "--out", out)
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out.exists()
 
     def test_bad_config_field(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -12,7 +12,7 @@ from seriation.estimators import (
     rank_score,
     rank_sum,
 )
-from seriation.metrics import min_adjacent_row_gap
+from seriation.metrics import min_adjacent_row_gap, pairwise_gaps
 from seriation.shape import MONOTONE, UNIMODAL, has_monotone_columns, isotonic_fit
 from seriation.synth import draw_truth
 
@@ -54,6 +54,21 @@ class TestRankScore:
         assert np.array_equal(fit.m_hat, y)
         assert fit.sse == 0.0
         assert estimation_losses(fit, p, truth).total == 0.0
+
+    def test_scores_match_pairwise_reference(self):
+        rng = derive_rng(4, 300, 300, 0)
+        truth = draw_truth("sparse-rows", 300, 300, rng)
+        p = Permutation.random(300, rng)
+        y = permute_rows(p, truth) + rng.normal(size=(300, 300))
+        fit = rank_score(y, EstimatorConfig(tau=6.0))
+        assert np.array_equal(fit.scores, np.count_nonzero(pairwise_gaps(y) >= 12.0, axis=0))
+        assert 0 < fit.scores.sum() < 300 * 300
+
+    def test_rejects_non_finite_config(self):
+        for kwargs in ({"sigma": np.nan}, {"sigma": np.inf}, {"tau": np.nan},
+                       {"tau": np.inf}, {"tau_constant": np.nan}, {"tau": -1.0}):
+            with pytest.raises(ValueError):
+                EstimatorConfig(**kwargs)
 
     def test_unimodal_shape_rejected(self):
         with pytest.raises(UnsupportedShapeError):

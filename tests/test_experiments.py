@@ -60,6 +60,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(replications=0)
 
+    def test_non_finite_noise_and_threshold_rejected(self):
+        for kwargs in ({"sigma": math.nan}, {"sigma": math.inf}, {"tau": math.nan},
+                       {"tau_constant": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                tiny_config(**kwargs)
+
+    def test_rankscore_needs_a_threshold(self):
+        with pytest.raises(ValueError, match="tau"):
+            tiny_config(methods=("rankscore",), tau=None)
+        tiny_config(methods=("rankscore",), tau=None, tau_constant=1.0)
+        tiny_config(methods=("oracle",), tau=None)
+
 
 class TestRunExperiment:
     def test_noiseless_oracle_has_zero_loss(self):

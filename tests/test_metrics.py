@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seriation.core import Permutation, derive_rng, frobenius_sq_dist, permute_rows
 from seriation.metrics import (
     complexity_report,
     count_levels,
     gap,
+    gap_scores,
     min_adjacent_row_gap,
     pair_score,
     pairwise_gaps,
@@ -182,6 +185,30 @@ class TestGap:
         for l in range(9):
             for i in range(9):
                 assert g[l, i] == pytest.approx(gap(a, l, i), abs=1e-12)
+
+    # n around the 64-bit word boundary, m around the column-block size;
+    # small integers times a scale give exact ties, and thresholds taken
+    # from the gaps themselves put gaps exactly at t
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([1, 2, 63, 64, 65]),
+           m=st.sampled_from([1, 3, 63, 64, 65, 129]),
+           scale=st.sampled_from([1.0, 0.1, 0.3, 1e-3]),
+           seed=st.integers(0, 2**32 - 1),
+           pick=st.integers(0, 2**32 - 1))
+    def test_gap_scores_match_pairwise_reference(self, n, m, scale, seed, pick):
+        a = np.random.default_rng(seed).integers(-3, 4, size=(n, m)) * scale
+        g = pairwise_gaps(a)
+        at = float(g.ravel()[pick % g.size])
+        for t in (0.0, at, np.nextafter(at, np.inf), -at):
+            assert np.array_equal(gap_scores(a, t), np.count_nonzero(g >= t, axis=0))
+
+    def test_gap_scores_overflowing_row_sums(self):
+        # equal infinite row sums make reference gaps NaN (inf - inf)
+        a = np.array([[1e308, 1e308], [1e308, 1e308], [-1e308, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = pairwise_gaps(a)
+            for t in (0.0, 1.0, -np.inf, np.inf):
+                assert np.array_equal(gap_scores(a, t), np.count_nonzero(g >= t, axis=0))
 
     def test_min_adjacent_row_gap(self):
         a = np.array([[0.0], [1.0], [5.0]])

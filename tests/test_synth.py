@@ -130,8 +130,9 @@ class TestNoise:
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             NoiseSpec("weird")
-        with pytest.raises(ValueError):
-            NoiseSpec("gaussian", sigma=-1.0)
+        for sigma in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                NoiseSpec("gaussian", sigma=sigma)
 
 
 class TestObservation:
