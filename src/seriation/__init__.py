@@ -20,6 +20,7 @@ from .core import (
     write_permutation,
 )
 from .estimators import (
+    METHODS,
     EstimatorConfig,
     FitResult,
     LossBreakdown,
@@ -27,6 +28,7 @@ from .estimators import (
     averaging_fit,
     estimation_losses,
     exhaustive_ls,
+    fit,
     oracle_fit,
     rank_score,
     rank_sum,
@@ -62,7 +64,6 @@ from .shape import (
     ShapeSpec,
     VectorFit,
     antitonic_fit,
-    dykstra_cone_projection,
     fixed_mode,
     fixed_mode_fit,
     isotonic_fit,

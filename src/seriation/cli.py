@@ -30,15 +30,7 @@ from .core import (
     write_matrix_csv,
     write_permutation,
 )
-from .estimators import (
-    EstimatorConfig,
-    averaging_fit,
-    estimation_losses,
-    exhaustive_ls,
-    oracle_fit,
-    rank_score,
-    rank_sum,
-)
+from .estimators import METHODS, EstimatorConfig, estimation_losses, fit
 from .shape import MONOTONE, UNIMODAL
 
 
@@ -94,12 +86,9 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-_METHODS = ("rankscore", "ranksum", "exhaustive", "oracle", "average")
-
-
 def _add_estimate(sub):
     p = sub.add_parser("estimate", help="run one estimator on an observation CSV")
-    p.add_argument("--method", required=True, choices=_METHODS)
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--shape", choices=("monotone", "unimodal"), default="monotone")
     p.add_argument("--tau", type=float, default=None,
                    help="score threshold (default 6 unless --tau-rule)")
@@ -108,64 +97,40 @@ def _add_estimate(sub):
     p.add_argument("--tau-c", type=float, default=1.0, help="constant C for --tau-rule")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--in", dest="observation", required=True, help="observation CSV path")
-    p.add_argument("--truth", help="true matrix CSV, enables loss reporting")
-    p.add_argument("--perm", help="true permutation file (required for oracle)")
+    p.add_argument("--truth", help="true matrix CSV, enables loss reporting (needs --perm)")
+    p.add_argument("--perm", help="true permutation file (required for oracle and --truth)")
     p.add_argument("--fitted-out", help="write the fitted observation matrix here")
-    p.add_argument("--max-rows", type=int, default=8,
-                   help="row cap for the exhaustive method")
     p.set_defaults(func=_cmd_estimate)
 
 
 def _cmd_estimate(args) -> int:
+    if args.truth and not args.perm:
+        raise ValueError("--truth needs the true permutation (--perm) to score the fit")
+    shape = UNIMODAL if args.shape == "unimodal" else MONOTONE
+    if args.tau_rule:
+        cfg = EstimatorConfig(shape=shape, sigma=args.sigma, tau_constant=args.tau_c)
+    else:
+        cfg = EstimatorConfig(shape=shape, sigma=args.sigma,
+                              tau=6.0 if args.tau is None else args.tau)
     y = read_matrix_csv(args.observation)
     n, m = y.shape
-    shape = UNIMODAL if args.shape == "unimodal" else MONOTONE
-
-    if args.method == "rankscore":
-        if args.tau_rule:
-            cfg = EstimatorConfig(shape=shape, sigma=args.sigma, tau=None,
-                                  tau_constant=args.tau_c)
-        else:
-            cfg = EstimatorConfig(shape=shape, sigma=args.sigma,
-                                  tau=6.0 if args.tau is None else args.tau)
-        fit = rank_score(y, cfg)
-        tau_used = cfg.resolve_tau(n, m)
-    elif args.method == "ranksum":
-        if args.shape == "unimodal":
-            raise ValueError("ranksum always fits monotone columns; drop --shape unimodal")
-        fit = rank_sum(y)
-        tau_used = None
-    elif args.method == "exhaustive":
-        fit = exhaustive_ls(y, shape, max_rows=args.max_rows)
-        tau_used = None
-    elif args.method == "oracle":
-        if not args.perm:
-            raise ValueError("oracle needs the true permutation (--perm)")
-        fit = oracle_fit(y, read_permutation(args.perm), shape)
-        tau_used = None
-    elif args.method == "average":
-        if args.shape == "unimodal":
-            raise ValueError("average always fits constant columns; drop --shape unimodal")
-        fit = averaging_fit(y)
-        tau_used = None
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
+    p_true = read_permutation(args.perm) if args.perm else None
+    result = fit(args.method, y, cfg, p_true)
 
     summary = {
         "method": args.method,
         "n": n,
         "m": m,
         "shape": args.shape,
-        "tau": tau_used,
-        "sse": fit.sse,
-        "p_hat": [int(v) for v in fit.p_hat.mapping],
+        # only the score-based estimator thresholds, and only it has scores
+        "tau": None if result.scores is None else cfg.resolve_tau(n, m),
+        "sse": result.sse,
+        "p_hat": [int(v) for v in result.p_hat.mapping],
     }
-    if fit.scores is not None:
-        summary["scores"] = [int(s) for s in fit.scores]
+    if result.scores is not None:
+        summary["scores"] = [int(s) for s in result.scores]
     if args.truth:
-        truth = read_matrix_csv(args.truth)
-        p_true = read_permutation(args.perm) if args.perm else Permutation.identity(n)
-        losses = estimation_losses(fit, p_true, truth)
+        losses = estimation_losses(result, p_true, read_matrix_csv(args.truth))
         summary["losses"] = {
             "total": losses.total,
             "perm_only": losses.perm_only,
@@ -175,7 +140,7 @@ def _cmd_estimate(args) -> int:
         summary["losses"] = None
     print(json.dumps(summary, allow_nan=False))
     if args.fitted_out:
-        write_matrix_csv(fit.m_hat, args.fitted_out)
+        write_matrix_csv(result.m_hat, args.fitted_out)
     return 0
 
 

@@ -11,6 +11,7 @@ in the package are translated once, at this boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,16 +132,24 @@ def frobenius_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
 
     Accumulated as per-row squared norms summed in sorted order, so the
     result is bit-identical under any common row permutation of the inputs
-    (row-permutation isometry holds exactly, not just to rounding).
+    (row-permutation isometry holds exactly, not just to rounding). Only the
+    result is checked for finiteness: a NaN or infinite entry in either
+    input, and an overflowing sum, all raise ``ValueError`` there.
     """
-    a = check_matrix(a, "a")
-    b = check_matrix(b, "b")
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"a must be 2-D, got shape {a.shape}")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    row_sq = np.einsum("ij,ij->i", d, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - b
+        row_sq = np.einsum("ij,ij->i", d, d)
     row_sq.sort()
-    return float(np.sum(row_sq))
+    total = float(np.sum(row_sq))
+    if not math.isfinite(total):
+        raise ValueError("squared distance is not finite (NaN/inf entries or overflow)")
+    return total
 
 
 # ---------------------------------------------------------------------------

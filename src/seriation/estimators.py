@@ -20,6 +20,11 @@ from .core import Permutation, check_matrix, frobenius_sq_dist, permute_rows
 from .metrics import gap_scores
 from .shape import MONOTONE, ShapeSpec, project_columns
 
+METHODS = ("rankscore", "ranksum", "exhaustive", "oracle", "average")
+
+# rows beyond which exhaustive least squares refuses to enumerate n! orders
+EXHAUSTIVE_ROW_CAP = 8
+
 
 class UnsupportedShapeError(ValueError):
     """Raised when an estimator is asked for a cone it is not defined on."""
@@ -124,7 +129,7 @@ def rank_sum(y) -> FitResult:
     return _ordered_fit(y, order, MONOTONE)
 
 
-def exhaustive_ls(y, shape: ShapeSpec, max_rows: int = 8) -> FitResult:
+def exhaustive_ls(y, shape: ShapeSpec, max_rows: int = EXHAUSTIVE_ROW_CAP) -> FitResult:
     """Global least squares over all row orders: project every permuted copy
     of ``y`` onto the cone and keep the smallest SSE.
 
@@ -170,6 +175,34 @@ def averaging_fit(y) -> FitResult:
     return FitResult(
         p_hat=p_hat, a_hat=a_hat, m_hat=m_hat, sse=frobenius_sq_dist(y, m_hat)
     )
+
+
+def fit(method: str, y, cfg: EstimatorConfig,
+        p_true: Permutation | None = None) -> FitResult:
+    """Run the estimator named ``method`` (one of :data:`METHODS`) on ``y``.
+
+    ``cfg.shape`` is the target cone; ``ranksum`` and ``average`` accept the
+    monotone cone only, and ``oracle`` needs the true permutation
+    ``p_true``. Estimators are looked up by module name at call time, so a
+    rebound name (a tracing wrapper, say) is honoured.
+    """
+    if method in ("ranksum", "average") and cfg.shape.kind != "monotone":
+        raise UnsupportedShapeError(
+            f"{method} fits monotone columns only, got {cfg.shape.kind}"
+        )
+    if method == "rankscore":
+        return rank_score(y, cfg)
+    if method == "ranksum":
+        return rank_sum(y)
+    if method == "exhaustive":
+        return exhaustive_ls(y, cfg.shape)
+    if method == "oracle":
+        if p_true is None:
+            raise ValueError("the oracle needs the true permutation (p_true)")
+        return oracle_fit(y, p_true, cfg.shape)
+    if method == "average":
+        return averaging_fit(y)
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ byte-identical reruns of the output CSV.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -23,21 +24,19 @@ import numpy as np
 
 from .core import Permutation, derive_rng, permute_rows
 from .estimators import (
+    EXHAUSTIVE_ROW_CAP,
+    METHODS,
     EstimatorConfig,
-    averaging_fit,
     estimation_losses,
-    exhaustive_ls,
-    oracle_fit,
-    rank_score,
-    rank_sum,
+    fit,
 )
-from .shape import MONOTONE
 from .synth import FAMILIES, NOISE_KINDS, draw_noise, draw_truth
 
-METHODS = ("rankscore", "ranksum", "exhaustive", "oracle", "average")
 M_RULES = ("n^1/2", "n", "n^3/2")
 
-EXHAUSTIVE_ROW_CAP = 8
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,20 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", methods)
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        for name in ("replications", "blocks", "seed", "n_min", "n_max", "n_points"):
+            value = getattr(self, name)
+            if not _is_int(value) and not (value is None and name in ("n_min", "n_max")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.replications < 1 or self.blocks < 1:
+            raise ValueError("replications and blocks must be >= 1")
         # sigma scales the noise of every method and the rankscore threshold;
         # all three must be finite and >= 0, as the estimator requires
         EstimatorConfig(sigma=self.sigma, tau=self.tau, tau_constant=self.tau_constant)
         if "rankscore" in methods and self.tau is None and self.tau_constant is None:
             raise ValueError("rankscore needs tau or tau_constant")
         if self.grid is not None:
+            if not all(_is_int(v) for cell in self.grid for v in cell):
+                raise ValueError(f"grid entries must be integers, got {self.grid!r}")
             grid = tuple((int(n), int(m)) for n, m in self.grid)
             if any(n < 1 or m < 1 for n, m in grid):
                 raise ValueError("grid entries must be positive")
@@ -150,23 +155,6 @@ class SlopeFit:
     r_squared: float
 
 
-def _run_method(method: str, y, p_true: Permutation, cfg: ExperimentConfig):
-    if method == "rankscore":
-        est = EstimatorConfig(
-            shape=MONOTONE, sigma=cfg.sigma, tau=cfg.tau, tau_constant=cfg.tau_constant
-        )
-        return rank_score(y, est)
-    if method == "ranksum":
-        return rank_sum(y)
-    if method == "exhaustive":
-        return exhaustive_ls(y, MONOTONE, max_rows=EXHAUSTIVE_ROW_CAP)
-    if method == "oracle":
-        return oracle_fit(y, p_true, MONOTONE)
-    if method == "average":
-        return averaging_fit(y)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list[ExperimentRecord]:
     """Run the full grid and return one record per (cell, method).
 
@@ -182,6 +170,7 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list[Experime
                 f"exhaustive method on a grid with n={worst} refused: "
                 f"n! row orders beyond n={EXHAUSTIVE_ROW_CAP} is not desk scale"
             )
+    est = EstimatorConfig(sigma=cfg.sigma, tau=cfg.tau, tau_constant=cfg.tau_constant)
     records = []
     for n, m in grid:
         sums = {meth: np.zeros(3) for meth in cfg.methods}
@@ -193,9 +182,9 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list[Experime
             y = permute_rows(p_true, truth) + draw_noise(cfg.noise_kind, cfg.sigma, n, m, rng)
             for meth in cfg.methods:
                 t0 = time.perf_counter()
-                fit = _run_method(meth, y, p_true, cfg)
+                result = fit(meth, y, est, p_true)
                 times[meth] += (time.perf_counter() - t0) * 1e3
-                losses = estimation_losses(fit, p_true, truth)
+                losses = estimation_losses(result, p_true, truth)
                 sums[meth] += (losses.total, losses.perm_only, losses.matrix_only)
         for meth in cfg.methods:
             total, perm, matrix = sums[meth] / cfg.replications

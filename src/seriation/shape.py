@@ -275,125 +275,3 @@ def satisfies(fitted: np.ndarray, shape: ShapeSpec, tol: float = EPS) -> bool:
     return any(
         satisfies(fitted, fixed_mode(l), tol) for l in range(1, fitted.size + 1)
     )
-
-
-# ---------------------------------------------------------------------------
-# Dykstra's alternating projections: the independent oracle the test suite
-# measures the closed-form fits against. Deliberately kept free of any code
-# shared with the fits above, apart from trivial validation.
-# ---------------------------------------------------------------------------
-
-
-def dykstra_cone_projection(y, l: int, iters: int = 10_000) -> np.ndarray:
-    """Approximate the projection onto the fixed-mode cone at ``l`` (1-based)
-    by Dykstra's alternating projections between the two chain cones
-    {increasing on the first l entries} and {decreasing from entry l on}.
-
-    Converges to the exact projection onto the intersection; the iteration
-    count trades accuracy for time. Test oracle, not a production path.
-    """
-    y = check_vector(y)
-    n = y.size
-    if not 1 <= l <= n:
-        raise ValueError(f"mode position {l} out of range [1, {n}]")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    x = y.copy()
-    p_corr = np.zeros(n)
-    q_corr = np.zeros(n)
-    for _ in range(iters):
-        w = x + p_corr
-        x1 = w.copy()
-        if l >= 2:
-            x1[:l] = _pava(w[:l])
-        p_corr = w - x1
-        w = x1 + q_corr
-        x = w.copy()
-        if l <= n - 1:
-            x[l - 1:] = _pava(w[l - 1:][::-1])[::-1]
-        q_corr = w - x
-    return x
-
-
-# interval-length constants of the minimax formula, cached per n
-_MINIMAX_CONST: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _minimax_constants(n: int):
-    cached = _MINIMAX_CONST.get(n)
-    if cached is None:
-        lengths = np.arange(n)[None, :] - np.arange(n)[:, None] + 1
-        valid = lengths > 0
-        inv_len = np.where(valid, 1.0 / np.maximum(lengths, 1), 0.0)[:, :, None]
-        inf_pad = np.where(valid, 0.0, np.inf)[:, :, None]
-        cached = _MINIMAX_CONST[n] = (inv_len, inf_pad)
-    return cached
-
-
-def _batched_isotonic_into(ys, out, cs, buf) -> None:
-    """Column-wise isotonic fit of the (n, B) array ``ys`` via
-    ``fit_i = max_{s<=i} min_{t>=i} mean(y[s..t])``, written into
-    preallocated workspaces: ``cs`` is (n+1, B), ``buf`` (n, n, B). The batch
-    axis is last, so every step runs over contiguous rows of B values."""
-    n = ys.shape[0]
-    inv_len, inf_pad = _minimax_constants(n)
-    cs[0] = 0.0
-    np.cumsum(ys, axis=0, out=cs[1:])
-    np.subtract(cs[None, 1:], cs[:n, None], out=buf)  # buf[s, t] = sum(y[s..t])
-    buf *= inv_len
-    buf += inf_pad  # s > t cells become +inf and never win the min
-    for t in range(n - 2, -1, -1):  # suffix min over t
-        np.minimum(buf[:, t], buf[:, t + 1], out=buf[:, t])
-    for s in range(1, n):  # prefix max over s
-        np.maximum(buf[s], buf[s - 1], out=buf[s])
-    idx = np.arange(n)
-    out[:] = buf[idx, idx]
-
-
-def batched_isotonic(ys: np.ndarray) -> np.ndarray:
-    """Row-wise isotonic fit of a (B, n) array for small n, fully vectorized
-    across rows. O(n^2) memory per row, intended for the batched Dykstra
-    oracle (n <= 8 in the test suite)."""
-    ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim != 2:
-        raise ValueError("expected a 2-D batch of row vectors")
-    b, n = ys.shape
-    if n == 1:
-        return ys.copy()
-    out = np.empty((n, b))
-    _batched_isotonic_into(ys.T, out, np.empty((n + 1, b)), np.empty((n, n, b)))
-    return np.ascontiguousarray(out.T)
-
-
-def dykstra_cone_projection_batch(ys: np.ndarray, l: int, iters: int = 10_000) -> np.ndarray:
-    """Vectorized :func:`dykstra_cone_projection` over the rows of ``ys``
-    (one shared peak position). Matches the scalar routine to float noise;
-    workspaces are allocated once so the iteration loop is allocation-free.
-    The iterates are kept transposed, one vector per column."""
-    ys = np.asarray(ys, dtype=np.float64)
-    b, n = ys.shape
-    if not 1 <= l <= n:
-        raise ValueError(f"mode position {l} out of range [1, {n}]")
-    x = ys.T.copy()
-    p_corr = np.zeros_like(x)
-    q_corr = np.zeros_like(x)
-    w = np.empty_like(x)
-    if l >= 2:
-        out1, cs1, buf1 = np.empty((l, b)), np.empty((l + 1, b)), np.empty((l, l, b))
-    if l <= n - 1:
-        k = n - l + 1
-        out2, cs2, buf2 = np.empty((k, b)), np.empty((k + 1, b)), np.empty((k, k, b))
-    for _ in range(iters):
-        np.add(x, p_corr, out=w)
-        x[:] = w
-        if l >= 2:
-            _batched_isotonic_into(w[:l], out1, cs1, buf1)
-            x[:l] = out1
-        np.subtract(w, x, out=p_corr)
-        np.add(x, q_corr, out=w)
-        x[:] = w
-        if l <= n - 1:
-            _batched_isotonic_into(w[l - 1:][::-1], out2, cs2, buf2)
-            x[l - 1:] = out2[::-1]
-        np.subtract(w, x, out=q_corr)
-    return np.ascontiguousarray(x.T)

@@ -1,0 +1,78 @@
+"""Slow reference computations the test suite measures the package against.
+
+They share no code with the fits they check.
+"""
+
+import numpy as np
+
+
+def _isotonic_fitter(k: int, b: int):
+    """Column-wise isotonic fit of (k, b) arrays by the minimax formula
+    ``fit_i = max_{s<=i} min_{t>=i} mean(y[s..t])``.
+
+    The interval constants and workspaces are built here, once; the returned
+    ``fit(ys, out)`` writes the fit of ``ys`` into ``out`` (either may be a
+    strided view). The batch axis is last, so every step runs over contiguous
+    rows of b values.
+    """
+    lengths = np.arange(k)[None, :] - np.arange(k)[:, None] + 1
+    valid = lengths > 0
+    inv_len = np.where(valid, 1.0 / np.maximum(lengths, 1), 0.0)[:, :, None]
+    inf_pad = np.where(valid, 0.0, np.inf)[:, :, None]
+    cs = np.empty((k + 1, b))
+    buf = np.empty((k, k, b))
+    idx = np.arange(k)
+    cs[0] = 0.0
+
+    def fit(ys, out):
+        np.cumsum(ys, axis=0, out=cs[1:])
+        np.subtract(cs[None, 1:], cs[:k, None], out=buf)  # buf[s, t] = sum(y[s..t])
+        np.multiply(buf, inv_len, out=buf)
+        np.add(buf, inf_pad, out=buf)  # s > t cells become +inf and never win the min
+        for t in range(k - 2, -1, -1):  # suffix min over t
+            np.minimum(buf[:, t], buf[:, t + 1], out=buf[:, t])
+        for s in range(1, k):  # prefix max over s
+            np.maximum(buf[s], buf[s - 1], out=buf[s])
+        out[:] = buf[idx, idx]
+
+    return fit
+
+
+def dykstra_cone_projection(ys, l: int, iters: int = 10_000) -> np.ndarray:
+    """Approximate the projection of every row of the (B, n) array ``ys``
+    onto the fixed-mode cone with peak at ``l`` (1-based), by Dykstra's
+    alternating projections (Boyle and Dykstra, 1986) between the two chain
+    cones {increasing on the first l entries} and {decreasing from entry l
+    on}.
+
+    Converges to the exact projection onto the intersection; the iteration
+    count trades accuracy for time. The iterates are kept transposed, one
+    vector per column, and the loop allocates nothing.
+    """
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim != 2:
+        raise ValueError("expected a 2-D batch of row vectors")
+    b, n = ys.shape
+    if not 1 <= l <= n:
+        raise ValueError(f"mode position {l} out of range [1, {n}]")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    x = ys.T.copy()
+    p_corr = np.zeros_like(x)
+    q_corr = np.zeros_like(x)
+    w = np.empty_like(x)
+    # a one-entry chain projects to itself and is skipped
+    head = _isotonic_fitter(l, b) if l >= 2 else None
+    tail = _isotonic_fitter(n - l + 1, b) if l <= n - 1 else None
+    for _ in range(iters):
+        np.add(x, p_corr, out=w)
+        x[:] = w
+        if head:
+            head(w[:l], x[:l])
+        np.subtract(w, x, out=p_corr)
+        np.add(x, q_corr, out=w)
+        x[:] = w
+        if tail:
+            tail(w[l - 1:][::-1], x[l - 1:][::-1])
+        np.subtract(w, x, out=q_corr)
+    return np.ascontiguousarray(x.T)

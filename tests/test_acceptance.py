@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import dykstra_cone_projection
 
 from seriation.core import Permutation, derive_rng, permute_rows
 from seriation.estimators import (
@@ -38,7 +39,6 @@ from seriation.metrics import (
 )
 from seriation.shape import (
     MONOTONE,
-    dykstra_cone_projection_batch,
     fixed_mode_fit,
     isotonic_fit,
     unimodal_fit,
@@ -73,7 +73,7 @@ def test_c01_projection_oracle_equivalence():
     checked_iso = 0
     for (n, l), ys in sorted(groups.items()):
         batch = np.array(ys)
-        oracle = dykstra_cone_projection_batch(batch, l, iters=10_000)
+        oracle = dykstra_cone_projection(batch, l, iters=10_000)
         for y, ref in zip(batch, oracle):
             fit = fixed_mode_fit(y, l)
             worst_fixed = max(worst_fixed, float(np.max(np.abs(fit.fitted - ref))))

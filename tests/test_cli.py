@@ -6,6 +6,7 @@ import pytest
 
 from seriation.cli import main
 from seriation.core import read_matrix_csv, read_permutation
+from seriation.estimators import METHODS, EstimatorConfig, fit
 from seriation.metrics import complexity_report
 from seriation.synth import GeneratorSpec, gen_truth
 
@@ -151,6 +152,65 @@ class TestEstimate:
         assert payload["losses"]["total"] == 0.0
         assert np.array_equal(read_matrix_csv(fitted), read_matrix_csv(obs))
 
+    def test_truth_requires_perm(self, tmp_path, capsys):
+        # a noiseless instance that rankscore recovers exactly: scored against
+        # the identity instead of the true permutation, its loss was not 0
+        truth, obs = tmp_path / "a.csv", tmp_path / "y.csv"
+        run_cli(capsys, "generate", "--family", "sparse-rows", "--n", 6, "--m", 16,
+                "--seed", 2, "--out", truth, "--noise", "none", "--obs-out", obs)
+        code, out, err = run_cli(capsys, "estimate", "--method", "rankscore",
+                                 "--tau", 1, "--in", obs, "--truth", truth)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--perm" in err
+
+    @pytest.mark.parametrize("method", ["ranksum", "average"])
+    def test_monotone_only_methods_reject_unimodal(self, instance, capsys, method):
+        _, _, obs = instance
+        code, out, err = run_cli(capsys, "estimate", "--method", method,
+                                 "--shape", "unimodal", "--in", obs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "monotone" in err
+
+    def test_sigma_checked_for_every_method(self, instance, capsys):
+        _, perm, obs = instance
+        code, _, err = run_cli(capsys, "estimate", "--method", "oracle", "--in", obs,
+                               "--perm", perm, "--sigma", "nan")
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_library_dispatch(self, tmp_path, capsys, method):
+        truth, perm, obs = tmp_path / "a.csv", tmp_path / "p.txt", tmp_path / "y.csv"
+        run_cli(capsys, "generate", "--family", "random-v-bounded", "--n", 6, "--m", 5,
+                "--seed", 3, "--out", truth, "--perm-out", perm, "--sigma", 0.5,
+                "--obs-out", obs)
+        code, out, _ = run_cli(capsys, "estimate", "--method", method, "--tau", 0.5,
+                               "--in", obs, "--perm", perm)
+        assert code == 0
+        payload = json.loads(out)
+        expect = fit(method, read_matrix_csv(obs), EstimatorConfig(tau=0.5),
+                     read_permutation(perm))
+        assert payload["p_hat"] == expect.p_hat.mapping.tolist()
+        assert payload["sse"] == expect.sse
+        if expect.scores is None:
+            assert "scores" not in payload and payload["tau"] is None
+        else:
+            assert payload["scores"] == expect.scores.tolist()
+            assert payload["tau"] == 0.5
+
+    def test_overflowing_losses_are_error_code(self, tmp_path, capsys):
+        obs, truth, perm = tmp_path / "y.csv", tmp_path / "a.csv", tmp_path / "p.txt"
+        obs.write_text("1e200\n")
+        truth.write_text("-1e200\n")
+        perm.write_text("0\n")
+        code, out, err = run_cli(capsys, "estimate", "--method", "average", "--in", obs,
+                                 "--truth", truth, "--perm", perm)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+
     def test_exhaustive_cap_message(self, tmp_path, capsys):
         obs = tmp_path / "y.csv"
         obs.write_text("\n".join(str(float(i)) for i in range(9)) + "\n")
@@ -207,7 +267,9 @@ class TestExperiment:
         assert pa.read_bytes() == pb.read_bytes()
 
     @pytest.mark.parametrize("fields", [{"sigma": math.nan},
-                                        {"methods": ["rankscore"], "tau": None}])
+                                        {"methods": ["rankscore"], "tau": None},
+                                        {"replications": 1.5},
+                                        {"grid": [[4.7, 2]]}])
     def test_invalid_config_is_error_code(self, tmp_path, capsys, fields):
         cfg = {"family": "random-v-bounded", "methods": ["oracle"],
                "grid": [[4, 2]], "replications": 1, **fields}

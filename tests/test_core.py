@@ -120,6 +120,23 @@ class TestFrobenius:
         with pytest.raises(ValueError):
             frobenius_sq_dist(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    def test_rejects_1d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            frobenius_sq_dist(np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_either_argument(self, bad):
+        a = np.zeros((2, 2))
+        b = np.ones((2, 2))
+        b[1, 0] = bad
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="not finite"):
+                frobenius_sq_dist(*pair)
+
+    def test_overflow_on_finite_inputs(self):
+        with pytest.raises(ValueError, match="not finite"):
+            frobenius_sq_dist([[1e200]], [[-1e200]])
+
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
         permutations_of(n),
         arrays(np.float64, (n, 3), elements=finite),

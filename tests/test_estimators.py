@@ -3,11 +3,13 @@ import pytest
 
 from seriation.core import Permutation, derive_rng, frobenius_sq_dist, permute_rows
 from seriation.estimators import (
+    METHODS,
     EstimatorConfig,
     UnsupportedShapeError,
     averaging_fit,
     estimation_losses,
     exhaustive_ls,
+    fit,
     oracle_fit,
     rank_score,
     rank_sum,
@@ -220,6 +222,41 @@ class TestOracleAveraging:
         fit = averaging_fit(y)
         assert has_monotone_columns(fit.a_hat)
         check_fit_invariants(fit, y)
+
+
+class TestDispatch:
+    def test_each_method_matches_its_estimator(self):
+        rng = derive_rng(12)
+        p = Permutation.random(5, rng)
+        y = permute_rows(p, random_monotone(rng, 5, 3)) + rng.normal(0, 0.3, size=(5, 3))
+        cfg = EstimatorConfig(shape=UNIMODAL, tau=0.5)
+        direct = {
+            "rankscore": rank_score(y, EstimatorConfig(tau=0.5)),
+            "ranksum": rank_sum(y),
+            "exhaustive": exhaustive_ls(y, UNIMODAL),
+            "oracle": oracle_fit(y, p, UNIMODAL),
+            "average": averaging_fit(y),
+        }
+        assert set(direct) == set(METHODS)
+        for method, expect in direct.items():
+            shaped = cfg if method in ("exhaustive", "oracle") else EstimatorConfig(tau=0.5)
+            got = fit(method, y, shaped, p)
+            assert got.p_hat == expect.p_hat
+            assert np.array_equal(got.m_hat, expect.m_hat)
+            assert got.sse == expect.sse
+
+    @pytest.mark.parametrize("method", ["rankscore", "ranksum", "average"])
+    def test_monotone_only_methods_reject_unimodal(self, method):
+        with pytest.raises(UnsupportedShapeError, match="monotone"):
+            fit(method, np.zeros((3, 2)), EstimatorConfig(shape=UNIMODAL, tau=1.0))
+
+    def test_oracle_needs_p_true(self):
+        with pytest.raises(ValueError, match="permutation"):
+            fit("oracle", np.zeros((3, 2)), EstimatorConfig())
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            fit("sorcery", np.zeros((3, 2)), EstimatorConfig())
 
 
 class TestLosses:

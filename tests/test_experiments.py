@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from seriation.experiments import (
@@ -59,6 +60,20 @@ class TestConfig:
     def test_replications_positive(self):
         with pytest.raises(ValueError):
             tiny_config(replications=0)
+        with pytest.raises(ValueError, match="blocks"):
+            tiny_config(family="random-k-blocks", blocks=0)
+
+    def test_integer_fields_must_be_integers(self):
+        for kwargs in ({"replications": 1.5}, {"blocks": 2.0}, {"seed": 1.5},
+                       {"replications": True}, {"grid": ((4.7, 2),)},
+                       {"grid": ((4, 2.0),)}):
+            with pytest.raises(ValueError, match="integer"):
+                tiny_config(**kwargs)
+        for kwargs in ({"n_min": 4.5}, {"n_max": 10.0}, {"n_points": 3.0}):
+            with pytest.raises(ValueError, match="integer"):
+                tiny_config(grid=None, m_rule="n", **{"n_min": 4, "n_max": 10, **kwargs})
+        cfg = tiny_config(grid=((np.int64(4), np.int64(2)),), seed=np.int64(3))
+        assert cfg.grid == ((4, 2),) and type(cfg.grid[0][0]) is int
 
     def test_non_finite_noise_and_threshold_rejected(self):
         for kwargs in ({"sigma": math.nan}, {"sigma": math.inf}, {"tau": math.nan},

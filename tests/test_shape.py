@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import dykstra_cone_projection
 
 from seriation.core import EPS, derive_rng
 from seriation.shape import (
@@ -10,9 +11,6 @@ from seriation.shape import (
     UNIMODAL,
     ShapeSpec,
     antitonic_fit,
-    batched_isotonic,
-    dykstra_cone_projection,
-    dykstra_cone_projection_batch,
     fixed_mode,
     fixed_mode_fit,
     is_increasing,
@@ -116,13 +114,15 @@ class TestFixedMode:
 
     def test_matches_dykstra(self):
         rng = derive_rng(11)
+        groups = {}
         for _ in range(60):
             n = int(rng.integers(1, 9))
             l = int(rng.integers(1, n + 1))
-            y = rng.uniform(-1, 1, size=n)
-            exact = fixed_mode_fit(y, l).fitted
-            approx = dykstra_cone_projection(y, l, iters=3000)
-            assert np.max(np.abs(exact - approx)) < 1e-6
+            groups.setdefault((n, l), []).append(rng.uniform(-1, 1, size=n))
+        for (n, l), ys in groups.items():
+            approx = dykstra_cone_projection(np.array(ys), l, iters=3000)
+            for y, ref in zip(ys, approx):
+                assert np.max(np.abs(fixed_mode_fit(y, l).fitted - ref)) < 1e-6
 
     def test_beats_random_feasible_points(self):
         rng = derive_rng(12)
@@ -214,33 +214,33 @@ class TestProjectColumns:
 
 class TestDykstra:
     def test_fixed_point(self):
-        y = np.array([1.0, 3.0, 2.0, 0.5])
+        y = np.array([[1.0, 3.0, 2.0, 0.5]])
         out = dykstra_cone_projection(y, 2, iters=10)
         assert np.allclose(out, y, atol=1e-12)
 
     def test_documented_example(self):
-        out = dykstra_cone_projection(np.array([2.0, 1.0, 2.0]), 1, iters=10_000)
-        assert np.max(np.abs(out - np.array([2.0, 1.5, 1.5]))) < 1e-6
+        out = dykstra_cone_projection(np.array([[2.0, 1.0, 2.0]]), 1, iters=10_000)
+        assert np.max(np.abs(out[0] - np.array([2.0, 1.5, 1.5]))) < 1e-6
 
     def test_single_element(self):
-        assert dykstra_cone_projection(np.array([5.0]), 1, iters=3)[0] == 5.0
+        assert dykstra_cone_projection(np.array([[5.0]]), 1, iters=3)[0, 0] == 5.0
 
     def test_bad_iters(self):
         with pytest.raises(ValueError):
-            dykstra_cone_projection(np.array([1.0]), 1, iters=0)
+            dykstra_cone_projection(np.array([[1.0]]), 1, iters=0)
 
-    def test_batch_matches_scalar(self):
-        rng = derive_rng(17)
-        ys = rng.uniform(-1, 1, size=(50, 6))
-        batch = dykstra_cone_projection_batch(ys, 3, iters=500)
-        for i in range(0, 50, 7):
-            scalar = dykstra_cone_projection(ys[i], 3, iters=500)
-            assert np.max(np.abs(batch[i] - scalar)) < 1e-9
+    def test_bad_mode_or_batch(self):
+        with pytest.raises(ValueError):
+            dykstra_cone_projection(np.array([[1.0, 2.0]]), 3)
+        with pytest.raises(ValueError):
+            dykstra_cone_projection(np.array([1.0, 2.0]), 1)
 
     def test_batched_isotonic_matches_pava(self):
+        # with l = n the decreasing chain is one entry, so a single iteration
+        # is exactly the minimax isotonic fit of every row
         rng = derive_rng(18)
         ys = rng.normal(size=(200, 8))
-        fits = batched_isotonic(ys)
+        fits = dykstra_cone_projection(ys, 8, iters=1)
         for i in range(0, 200, 11):
             assert np.allclose(fits[i], isotonic_fit(ys[i]).fitted, atol=1e-10)
 
