@@ -185,8 +185,6 @@ def _cmd_experiment(args) -> int:
             )
         if "grid" in raw and raw["grid"] is not None:
             raw["grid"] = tuple(tuple(cell) for cell in raw["grid"])
-        if "methods" in raw:
-            raw["methods"] = tuple(raw["methods"])
         cfg = experiments.ExperimentConfig(**raw)
         records = experiments.run_experiment(cfg, timing=args.timing)
         out = args.out or cfg.out_path

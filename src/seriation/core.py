@@ -179,10 +179,12 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 def write_matrix_csv(a: np.ndarray, path) -> None:
     a = check_matrix(a)
+    # one % per row; a whole-matrix tolist() or join costs tens of MB at
+    # 2048 x 256
+    fmt = ",".join(["%.17g"] * a.shape[1]) + "\n"
     with open(path, "w", newline="\n") as f:
         for row in a:
-            f.write(",".join(f"{v:.17g}" for v in row))
-            f.write("\n")
+            f.write(fmt % tuple(row.tolist()))
 
 
 def read_matrix_csv(path) -> np.ndarray:

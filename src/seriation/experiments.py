@@ -70,6 +70,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "custom":
             raise ValueError("experiments generate their own truths; custom is CLI-only")
+        # a bare string would be split into one-letter method names
+        if isinstance(self.methods, str) or not hasattr(self.methods, "__iter__"):
+            raise ValueError("methods must be a list of method names")
         methods = tuple(self.methods)
         if not methods:
             raise ValueError("at least one method required")

@@ -74,8 +74,7 @@ def _pava(y: np.ndarray) -> np.ndarray:
     n = y.size
     vals = []
     wts = []
-    for yi in y:
-        v = float(yi)
+    for v in y.tolist():
         w = 1.0
         while vals and vals[-1] >= v:
             v0 = vals.pop()
@@ -175,8 +174,7 @@ def prefix_isotonic_errors(y) -> np.ndarray:
     err = np.empty(y.size)
     vals, wts, sses = [], [], []
     total = 0.0
-    for j, yj in enumerate(y):
-        v = float(yj)
+    for j, v in enumerate(y.tolist()):
         w = 1.0
         s = 0.0
         while vals and vals[-1] >= v:
@@ -210,13 +208,10 @@ def unimodal_fit(y) -> VectorFit:
     e_inc = prefix_isotonic_errors(y)
     e_dec = prefix_isotonic_errors(y[::-1])
 
-    best_split = 1
-    best_err = np.inf
-    for split in range(1, n + 1):
-        err = e_inc[split - 1] + (e_dec[n - split - 1] if split < n else 0.0)
-        if err < best_err:
-            best_err = err
-            best_split = split
+    # err[k]: summed error of split k + 1; argmin takes the first minimum,
+    # and an error that overflowed to NaN never wins
+    err = e_inc + np.append(e_dec[:n - 1][::-1], 0.0)
+    best_split = int(np.argmin(np.where(np.isnan(err), np.inf, err))) + 1
 
     fitted = np.empty(n)
     fitted[:best_split] = _pava(y[:best_split])

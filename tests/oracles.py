@@ -76,3 +76,33 @@ def dykstra_cone_projection(ys, l: int, iters: int = 10_000) -> np.ndarray:
             tail(w[l - 1:][::-1], x[l - 1:][::-1])
         np.subtract(w, x, out=q_corr)
     return np.ascontiguousarray(x.T)
+
+
+def r_statistic_reference(a) -> float:
+    """The pair-score statistic R by one full pass per row: every ordered
+    pair of rows is scored, and the scores of each row ``i``, in the order of
+    the other row ``l``, join the running top-n selection.
+
+    Returns the sum of the n largest scores over n, or 0.0 when all rows
+    are identical. ``a`` must be a finite, column-increasing float64 matrix;
+    nothing here checks it.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    n, m = a.shape
+    top = np.empty(0)
+    for i in range(n):
+        u = a - a[i]
+        sq = np.einsum("ij,ij->i", u, u)
+        linf = np.max(np.abs(u), axis=1)
+        distinct = linf > 0.0
+        if not distinct.any():
+            continue
+        l1 = np.sum(np.abs(u), axis=1)
+        s2, si, s1 = sq[distinct], linf[distinct], l1[distinct]
+        scores = np.minimum(s2 / si**2, m * s2 / s1**2)
+        top = np.concatenate([top, scores])
+        if top.size > n:
+            top = np.partition(top, top.size - n)[-n:]
+    if top.size == 0:
+        return 0.0
+    return float(np.sum(top)) / n

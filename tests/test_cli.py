@@ -266,6 +266,16 @@ class TestExperiment:
             assert code == 0
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_bare_method_string_is_error_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"family": "random-v-bounded", "methods": "oracle",
+                                        "grid": [[4, 2]], "replications": 1}))
+        code, _, err = run_cli(capsys, "experiment", "--config", cfg_path,
+                               "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert err.startswith("error:") and "methods" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("fields", [{"sigma": math.nan},
                                         {"methods": ["rankscore"], "tau": None},
                                         {"replications": 1.5},

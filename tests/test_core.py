@@ -197,6 +197,20 @@ class TestTextFormats:
         assert b"\r" not in raw
         assert raw == b"0.5,-1.25\n"
 
+    # every finite float64 plus the edge cases: signed zero, subnormals,
+    # the ends of the range and integers
+    @given(st.integers(1, 5).flatmap(lambda n: st.integers(1, 6).flatmap(
+        lambda m: arrays(np.float64, (n, m), elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 0.0, 5e-324, -2.225073858507201e-308,
+                             1e308, -1e308, 1.7976931348623157e308]),
+            st.integers(-10**17, 10**17).map(float))))))
+    def test_matrix_csv_bytes_match_per_value_format(self, tmp_path_factory, a):
+        path = tmp_path_factory.mktemp("csv") / "a.csv"
+        write_matrix_csv(a, path)
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in a)
+        assert path.read_bytes() == expected.encode()
+
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3\n")

@@ -57,6 +57,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown method"):
             tiny_config(methods=("sorcery",))
 
+    def test_bare_method_string_rejected(self):
+        for methods in ("oracle", 5):
+            with pytest.raises(ValueError, match="methods must be a list"):
+                tiny_config(methods=methods)
+
     def test_replications_positive(self):
         with pytest.raises(ValueError):
             tiny_config(replications=0)

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import r_statistic_reference
 
+from seriation import metrics
 from seriation.core import Permutation, derive_rng, frobenius_sq_dist, permute_rows
 from seriation.metrics import (
     complexity_report,
@@ -16,6 +20,7 @@ from seriation.metrics import (
     rearrangement_check,
     variation,
 )
+from seriation.shape import has_monotone_columns
 from seriation.synth import draw_truth
 
 
@@ -124,6 +129,36 @@ class TestRStatistic:
         rep = complexity_report(a)
         assert rep.r_value == 1.0
         assert rep.r_degenerate
+
+    # tiles of one row up to the whole matrix and triangle chunks of one
+    # entry up to the default size; integer draws give ties and identical
+    # rows, and "step-down" columns decrease by less than EPS
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 17, 64, 129, 257]),
+           m=st.sampled_from([1, 2, 7, 64, 256]),
+           kind=st.sampled_from(["normal", "integers", "identical", "step-down"]),
+           tile_bytes=st.sampled_from([8, 24, 8 * 64, metrics._R_TILE_BYTES]),
+           chunk_bytes=st.sampled_from([8, 80, 4096, metrics._R_CHUNK_BYTES]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_r_statistic_matches_reference(self, n, m, kind, tile_bytes, chunk_bytes,
+                                           seed):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            a = np.sort(rng.normal(size=(n, m)), axis=0)
+        elif kind == "identical":
+            a = np.repeat(rng.normal(size=(1, m)), n, axis=0)
+        else:
+            levels = np.sort(rng.integers(-2, 3, size=(max(1, n // 2), m)), axis=0)
+            a = levels[np.sort(rng.integers(0, len(levels), size=n))] * 0.5
+            if kind == "step-down":
+                a = a - 5e-10 * (rng.random((n, m)) < 0.3)
+        assert has_monotone_columns(a)
+        with mock.patch.object(metrics, "_R_TILE_BYTES", tile_bytes), \
+                mock.patch.object(metrics, "_R_CHUNK_BYTES", chunk_bytes):
+            r = r_statistic(a)
+        assert r == r_statistic_reference(a)
+        if kind == "identical" or n == 1:
+            assert r == 0.0
 
     def test_report_on_non_monotone(self):
         rep = complexity_report(np.array([[1.0], [0.0]]))

@@ -149,6 +149,19 @@ class TestUnimodal:
         assert fit.sse == pytest.approx(0.5, rel=1e-12)
         assert fit.mode == 1
 
+    def test_tied_splits_take_the_smallest(self):
+        # splits 2 to 5 all cost 0.5 and split 1 costs 1; split 4 would fit
+        # [0, 0, 0.5, 0.5, 1]
+        fit = unimodal_fit([0.0, 0.0, 1.0, 0.0, 1.0])
+        assert np.array_equal(fit.fitted, [0.0, 0.0, 1.0, 0.5, 0.5])
+        assert fit.sse == 0.5
+        assert fit.mode == 3
+
+    def test_nan_split_error_never_wins(self):
+        # pooling the tied -1e308 entries overflows, and the error of split 4
+        # is NaN (inf - inf); split 1 is the first of the rest
+        assert unimodal_fit([1e308, 1e308, -1e308, -1e308]).mode == 1
+
     def test_increasing_has_last_mode(self):
         fit = unimodal_fit([1.0, 2.0, 3.0])
         assert np.array_equal(fit.fitted, [1.0, 2.0, 3.0])
