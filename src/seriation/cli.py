@@ -183,8 +183,6 @@ def _cmd_experiment(args) -> int:
             raise ValueError(
                 f"unknown config fields {sorted(unknown)}; expected a subset of {sorted(known)}"
             )
-        if "grid" in raw and raw["grid"] is not None:
-            raw["grid"] = tuple(tuple(cell) for cell in raw["grid"])
         cfg = experiments.ExperimentConfig(**raw)
         records = experiments.run_experiment(cfg, timing=args.timing)
         out = args.out or cfg.out_path

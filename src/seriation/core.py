@@ -122,9 +122,54 @@ def permute_rows(p: Permutation, a: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"permutation length {p.n} does not match row count {a.shape[0]}"
         )
+    return _permute_rows(p, a)
+
+
+def _permute_rows(p: Permutation, a: np.ndarray) -> np.ndarray:
+    """:func:`permute_rows` for a validated matrix with ``p.n`` rows."""
     out = np.empty_like(a)
     out[p.mapping] = a
     return out
+
+
+# Squared distances take their row differences in blocks of about this many
+# bytes, so their scratch stays cache-sized at any matrix size.
+_ROW_BLOCK_BYTES = 1 << 18
+
+
+def _sq_dist(a: np.ndarray, b: np.ndarray, ia=None, ib=None) -> float:
+    """Sum over k of ``||a[ia[k]] - b[ib[k]]||^2``, for float64 matrices of
+    equal width and index arrays of equal length; an index array left None
+    stands for all rows in order.
+
+    Each row's squared norm is the same float in any block and under any
+    gather, and the norms are summed in sorted order, so the result depends
+    only on the set of row pairs. Scratch is two blocks of rows and one float
+    per row pair, never a whole difference matrix. A sum that is not finite
+    (a NaN or infinite entry, or overflow) raises ``ValueError``.
+    """
+    n = a.shape[0] if ia is None else ia.size
+    m = a.shape[1]
+    step = max(1, _ROW_BLOCK_BYTES // (8 * max(m, 1)))
+    d = np.empty((min(step, n), m))
+    gathered = np.empty_like(d) if ib is not None else None
+    row_sq = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, step):
+            e = min(s + step, n)
+            blk = d[:e - s]
+            # indices come from validated permutations; "clip" avoids the
+            # temporary copy that take() makes for mode="raise"
+            x = a[s:e] if ia is None else np.take(a, ia[s:e], axis=0, out=blk, mode="clip")
+            z = b[s:e] if ib is None else np.take(
+                b, ib[s:e], axis=0, out=gathered[:e - s], mode="clip")
+            np.subtract(x, z, out=blk)
+            np.einsum("ij,ij->i", blk, blk, out=row_sq[s:e])
+    row_sq.sort()
+    total = float(np.sum(row_sq))
+    if not math.isfinite(total):
+        raise ValueError("squared distance is not finite (NaN/inf entries or overflow)")
+    return total
 
 
 def frobenius_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
@@ -132,9 +177,11 @@ def frobenius_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
 
     Accumulated as per-row squared norms summed in sorted order, so the
     result is bit-identical under any common row permutation of the inputs
-    (row-permutation isometry holds exactly, not just to rounding). Only the
-    result is checked for finiteness: a NaN or infinite entry in either
-    input, and an overflowing sum, all raise ``ValueError`` there.
+    (row-permutation isometry holds exactly, not just to rounding). The
+    norms are taken in row blocks: scratch is O(block + n), not O(n m),
+    beyond any float64 C-ordered copy of an input. Only the result is
+    checked for finiteness: a NaN or infinite entry in either input, and an
+    overflowing sum, all raise ``ValueError`` there.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
@@ -142,14 +189,7 @@ def frobenius_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"a must be 2-D, got shape {a.shape}")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = a - b
-        row_sq = np.einsum("ij,ij->i", d, d)
-    row_sq.sort()
-    total = float(np.sum(row_sq))
-    if not math.isfinite(total):
-        raise ValueError("squared distance is not finite (NaN/inf entries or overflow)")
-    return total
+    return _sq_dist(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, check_matrix, frobenius_sq_dist, permute_rows
+from .core import (
+    Permutation,
+    _permute_rows,
+    _sq_dist,
+    check_matrix,
+    frobenius_sq_dist,
+    inverse,
+)
 from .metrics import gap_scores
-from .shape import MONOTONE, ShapeSpec, project_columns
+from .shape import MONOTONE, ShapeSpec, _project_columns
 
 METHODS = ("rankscore", "ranksum", "exhaustive", "oracle", "average")
 
@@ -83,10 +90,10 @@ def _ordered_fit(y: np.ndarray, order: np.ndarray, shape: ShapeSpec,
                  scores: np.ndarray | None = None) -> FitResult:
     """Project the rows of ``y``, taken in ``order``, onto the cone; the
     resulting permutation sends shaped row k back to observation row
-    order[k]."""
+    order[k]. ``y`` must be validated already: nothing here scans it."""
     p_hat = Permutation(np.asarray(order, dtype=np.int64))
-    a_hat = project_columns(y[p_hat.mapping], shape)
-    m_hat = permute_rows(p_hat, a_hat)
+    a_hat = _project_columns(y[p_hat.mapping], shape)
+    m_hat = _permute_rows(p_hat, a_hat)
     return FitResult(
         p_hat=p_hat,
         a_hat=a_hat,
@@ -171,7 +178,7 @@ def averaging_fit(y) -> FitResult:
     n = y.shape[0]
     a_hat = np.tile(y.mean(axis=0), (n, 1))
     p_hat = Permutation.identity(n)
-    m_hat = permute_rows(p_hat, a_hat)
+    m_hat = _permute_rows(p_hat, a_hat)
     return FitResult(
         p_hat=p_hat, a_hat=a_hat, m_hat=m_hat, sse=frobenius_sq_dist(y, m_hat)
     )
@@ -218,17 +225,24 @@ def estimation_losses(fit: FitResult, p_true: Permutation, a_true) -> LossBreakd
     """Split the per-entry squared loss of a fit into its permutation-only
     and matrix-only components.
 
-    ``total`` compares the fitted observation to the true one, ``perm_only``
-    applies the estimated permutation to the true matrix, and
-    ``matrix_only`` compares the shaped estimates directly.
+    ``total`` compares the fitted observation to the true one,
+    ``permute_rows(p_true, a_true)``; ``perm_only`` applies the estimated
+    permutation to the true matrix instead; ``matrix_only`` compares the
+    shaped estimates directly. Each is the sorted sum of
+    :func:`~seriation.core.frobenius_sq_dist`, but the permuted matrices are
+    never formed: rows are gathered through the inverse permutations in
+    cache-sized blocks, so scratch is O(block + n), not O(n m).
     """
     a_true = check_matrix(a_true, "a_true")
     if fit.a_hat.shape != a_true.shape:
         raise ValueError(f"shape mismatch: {fit.a_hat.shape} vs {a_true.shape}")
     n, m = a_true.shape
-    target = permute_rows(p_true, a_true)
+    if p_true.n != n:
+        raise ValueError(f"permutation length {p_true.n} does not match row count {n}")
+    # row r of permute_rows(p, a_true) is row inverse(p).mapping[r] of a_true
+    true_rows = inverse(p_true).mapping
     return LossBreakdown(
-        total=frobenius_sq_dist(fit.m_hat, target) / (n * m),
-        perm_only=frobenius_sq_dist(permute_rows(fit.p_hat, a_true), target) / (n * m),
-        matrix_only=frobenius_sq_dist(fit.a_hat, a_true) / (n * m),
+        total=_sq_dist(fit.m_hat, a_true, ib=true_rows) / (n * m),
+        perm_only=_sq_dist(a_true, a_true, inverse(fit.p_hat).mapping, true_rows) / (n * m),
+        matrix_only=_sq_dist(fit.a_hat, a_true) / (n * m),
     )

@@ -94,6 +94,10 @@ class ExperimentConfig:
         if "rankscore" in methods and self.tau is None and self.tau_constant is None:
             raise ValueError("rankscore needs tau or tau_constant")
         if self.grid is not None:
+            # JSON gives lists; a string or a flat pair is no list of cells
+            if not isinstance(self.grid, (list, tuple)) or not all(
+                    isinstance(cell, (list, tuple)) and len(cell) == 2 for cell in self.grid):
+                raise ValueError(f"grid must be a list of [n, m] pairs, got {self.grid!r}")
             if not all(_is_int(v) for cell in self.grid for v in cell):
                 raise ValueError(f"grid entries must be integers, got {self.grid!r}")
             grid = tuple((int(n), int(m)) for n, m in self.grid)
@@ -182,13 +186,19 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list[Experime
             rng = derive_rng(cfg.seed, n, m, rep)
             truth = draw_truth(cfg.family, n, m, rng, blocks=cfg.blocks)
             p_true = Permutation.random(n, rng)
-            y = permute_rows(p_true, truth) + draw_noise(cfg.noise_kind, cfg.sigma, n, m, rng)
+            # in place: one n x m temporary fewer than a sum, same floats
+            y = permute_rows(p_true, truth)
+            y += draw_noise(cfg.noise_kind, cfg.sigma, n, m, rng)
             for meth in cfg.methods:
                 t0 = time.perf_counter()
                 result = fit(meth, y, est, p_true)
                 times[meth] += (time.perf_counter() - t0) * 1e3
                 losses = estimation_losses(result, p_true, truth)
                 sums[meth] += (losses.total, losses.perm_only, losses.matrix_only)
+                # drop each fit and instance before the next is made, so
+                # that two are never held at once
+                del result
+            del truth, y
         for meth in cfg.methods:
             total, perm, matrix = sums[meth] / cfg.replications
             records.append(

@@ -16,6 +16,7 @@ and array indices everywhere else are 0-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,8 @@ def _pava(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators: the Euclidean projection of ``y`` onto the
     cone of increasing vectors. O(n) via a merge stack of (mean, weight)
     blocks; block means are kept as running weighted sums to avoid
-    cancellation."""
+    cancellation. A weighted sum that overflows (entries near +-1e308) is
+    redone as a weighted mean, which only then changes the arithmetic."""
     n = y.size
     vals = []
     wts = []
@@ -79,7 +81,10 @@ def _pava(y: np.ndarray) -> np.ndarray:
         while vals and vals[-1] >= v:
             v0 = vals.pop()
             w0 = wts.pop()
-            v = (v * w + v0 * w0) / (w + w0)
+            pooled = (v * w + v0 * w0) / (w + w0)
+            if pooled - pooled:  # inf or NaN
+                pooled = v * (w / (w + w0)) + v0 * (w0 / (w + w0))
+            v = pooled
             w += w0
         vals.append(v)
         wts.append(w)
@@ -93,8 +98,12 @@ def _pava(y: np.ndarray) -> np.ndarray:
 
 
 def _sse(fitted: np.ndarray, y: np.ndarray) -> float:
-    d = fitted - y
-    return float(np.dot(d, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = fitted - y
+        sse = float(np.dot(d, d))
+    if not math.isfinite(sse):
+        raise ValueError("squared error of the fit overflows float64")
+    return sse
 
 
 def isotonic_fit(y) -> VectorFit:
@@ -169,7 +178,11 @@ def fixed_mode_fit(y, l: int) -> VectorFit:
 
 def prefix_isotonic_errors(y) -> np.ndarray:
     """``err[j]`` = SSE of the isotonic fit of ``y[:j+1]``, for every prefix,
-    in one O(n) sweep (the fitted values themselves are not materialized)."""
+    in one O(n) sweep (the fitted values themselves are not materialized).
+
+    Blocks pool exactly as in :func:`_pava`. An error too large for float64
+    reads inf.
+    """
     y = check_vector(y)
     err = np.empty(y.size)
     vals, wts, sses = [], [], []
@@ -182,14 +195,23 @@ def prefix_isotonic_errors(y) -> np.ndarray:
             w0 = wts.pop()
             s0 = sses.pop()
             total -= s0
-            s = s + s0 + w * w0 / (w + w0) * (v - v0) ** 2
-            v = (v * w + v0 * w0) / (w + w0)
+            try:
+                s = s + s0 + w * w0 / (w + w0) * (v - v0) ** 2
+            except OverflowError:  # a finite difference whose square overflows
+                s = math.inf
+            pooled = (v * w + v0 * w0) / (w + w0)
+            if pooled - pooled:  # inf or NaN
+                pooled = v * (w / (w + w0)) + v0 * (w0 / (w + w0))
+            v = pooled
             w += w0
         vals.append(v)
         wts.append(w)
         sses.append(s)
         total += s
         err[j] = total
+    # a NaN total is inf - inf, from popping a block whose error overflowed;
+    # that error stays in the pooled block, so the total is inf
+    err[np.isnan(err)] = np.inf
     return err
 
 
@@ -208,10 +230,9 @@ def unimodal_fit(y) -> VectorFit:
     e_inc = prefix_isotonic_errors(y)
     e_dec = prefix_isotonic_errors(y[::-1])
 
-    # err[k]: summed error of split k + 1; argmin takes the first minimum,
-    # and an error that overflowed to NaN never wins
+    # err[k]: summed error of split k + 1; argmin takes the first minimum
     err = e_inc + np.append(e_dec[:n - 1][::-1], 0.0)
-    best_split = int(np.argmin(np.where(np.isnan(err), np.inf, err))) + 1
+    best_split = int(np.argmin(err)) + 1
 
     fitted = np.empty(n)
     fitted[:best_split] = _pava(y[:best_split])
@@ -239,7 +260,11 @@ def project_columns(a, shape: ShapeSpec) -> np.ndarray:
     (it computes the identical projection; equivalence with
     :func:`isotonic_fit` is pinned by tests).
     """
-    a = check_matrix(a)
+    return _project_columns(check_matrix(a), shape)
+
+
+def _project_columns(a: np.ndarray, shape: ShapeSpec) -> np.ndarray:
+    """:func:`project_columns` for a validated matrix."""
     out = np.empty_like(a)
     if shape.kind == "monotone":
         for j in range(a.shape[1]):

@@ -3,6 +3,8 @@
 They share no code with the fits they check.
 """
 
+import math
+
 import numpy as np
 
 
@@ -106,3 +108,39 @@ def r_statistic_reference(a) -> float:
     if top.size == 0:
         return 0.0
     return float(np.sum(top)) / n
+
+
+def frobenius_sq_dist_reference(a, b) -> float:
+    """Squared distance through one whole n x m difference matrix: per-row
+    norms by einsum, summed in sorted order."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - b
+        row_sq = np.einsum("ij,ij->i", d, d)
+    row_sq.sort()
+    total = float(np.sum(row_sq))
+    if not math.isfinite(total):
+        raise ValueError("squared distance is not finite (NaN/inf entries or overflow)")
+    return total
+
+
+def _moved_rows(mapping, a):
+    out = np.empty_like(a)
+    out[mapping] = a
+    return out
+
+
+def estimation_losses_reference(fit, p_true, a_true) -> tuple[float, float, float]:
+    """(total, perm_only, matrix_only) of a fit, with both permuted copies
+    of the truth formed in full."""
+    a_true = np.ascontiguousarray(a_true, dtype=np.float64)
+    n, m = a_true.shape
+    target = _moved_rows(p_true.mapping, a_true)
+    return (
+        frobenius_sq_dist_reference(fit.m_hat, target) / (n * m),
+        frobenius_sq_dist_reference(_moved_rows(fit.p_hat.mapping, a_true), target) / (n * m),
+        frobenius_sq_dist_reference(fit.a_hat, a_true) / (n * m),
+    )

@@ -130,6 +130,17 @@ class TestEstimate:
         assert code == 2
         assert err.startswith("error:") and "10 rows" in err
 
+    def test_overflowing_unimodal_fit_is_error_code(self, tmp_path, capsys):
+        obs, perm = tmp_path / "y.csv", tmp_path / "p.txt"
+        obs.write_text("1,0\n1e308,0\n-1e308,0\n3,0\n2,0\n")
+        perm.write_text("0\n1\n2\n3\n4\n")
+        code, out, err = run_cli(capsys, "estimate", "--method", "oracle", "--shape",
+                                 "unimodal", "--in", obs, "--perm", perm)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflow" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flags", [("--tau", "nan"), ("--tau", "inf"),
                                        ("--tau-rule", "--sigma", "nan"),
                                        ("--tau-rule", "--tau-c", "inf")])
@@ -265,6 +276,17 @@ class TestExperiment:
                                  "--replications", 1, "--seed", 4, "--out", path)
             assert code == 0
         assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("grid", [5, [4, 2], "44", [[4, 2, 1]]])
+    def test_malformed_grid_is_error_code(self, tmp_path, capsys, grid):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"family": "random-v-bounded", "methods": ["oracle"],
+                                        "grid": grid, "replications": 1}))
+        code, _, err = run_cli(capsys, "experiment", "--config", cfg_path,
+                               "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert err.startswith("error:") and "grid" in err
+        assert "Traceback" not in err
 
     def test_bare_method_string_is_error_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

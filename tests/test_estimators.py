@@ -1,6 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import estimation_losses_reference, frobenius_sq_dist_reference
 
+from seriation import core
 from seriation.core import Permutation, derive_rng, frobenius_sq_dist, permute_rows
 from seriation.estimators import (
     METHODS,
@@ -296,3 +303,45 @@ class TestLosses:
         fit = averaging_fit(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             estimation_losses(fit, Permutation.identity(3), np.zeros((3, 3)))
+
+    # blocks of one row up to the default size; row counts around a block
+    # boundary, odd widths, exponents from 1e-30 to 1e30 in one matrix
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 63, 64, 65, 257]),
+           m=st.sampled_from([1, 3, 7, 65, 129]),
+           identity=st.booleans(),
+           method=st.sampled_from(["oracle", "ranksum", "average"]),
+           block_bytes=st.sampled_from([8, 8 * 64, core._ROW_BLOCK_BYTES]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_losses_and_sse_match_reference(self, n, m, identity, method, block_bytes,
+                                            seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-30, 31, size=(n, m))
+        truth = np.sort(rng.normal(size=(n, m)) * scale, axis=0)
+        p = Permutation.identity(n) if identity else Permutation.random(n, rng)
+        y = permute_rows(p, truth) + rng.normal(size=(n, m)) * scale
+        with mock.patch.object(core, "_ROW_BLOCK_BYTES", block_bytes):
+            result = fit(method, y, EstimatorConfig(), p)
+            losses = estimation_losses(result, p, truth)
+        assert result.sse == frobenius_sq_dist_reference(y, result.m_hat)
+        assert (losses.total, losses.perm_only, losses.matrix_only) == \
+            estimation_losses_reference(result, p, truth)
+
+    def test_scratch_is_less_than_one_matrix(self):
+        # one 1024 x 1024 float64 matrix is 8 MiB; the losses and the
+        # distance need a few blocks of rows and one float per row
+        rng = derive_rng(12)
+        n = m = 1024
+        truth = random_monotone(rng, n, m)
+        p = Permutation.random(n, rng)
+        y = permute_rows(p, truth) + rng.normal(size=(n, m))
+        result = rank_sum(y)
+        for call in (lambda: estimation_losses(result, p, truth),
+                     lambda: frobenius_sq_dist(result.m_hat, y)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n * m

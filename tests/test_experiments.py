@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,23 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+class TestMemory:
+    def test_peak_is_one_instance_and_one_fit(self):
+        # truth, observation, a_hat and m_hat are four n x m matrices (plus
+        # 0.5 MB of loss blocks); a second replication or method must not
+        # add to them
+        n = 512
+        cfg = tiny_config(methods=("rankscore", "ranksum", "oracle"), grid=((n, n),),
+                          replications=2)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * n * n
+
+
 class TestConfig:
     def test_log_grid_construction(self):
         cfg = tiny_config(grid=None, m_rule="n", n_min=10, n_max=1000, n_points=3)
@@ -56,6 +74,14 @@ class TestConfig:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             tiny_config(methods=("sorcery",))
+
+    def test_malformed_grid_rejected(self):
+        for grid in (5, [4, 2], "44", [[4, 2, 1]], [[4]], [(4, 2), 8]):
+            with pytest.raises(ValueError, match="grid"):
+                tiny_config(grid=grid)
+
+    def test_grid_lists_become_tuples(self):
+        assert tiny_config(grid=[[4, 2], [8, 3]]).grid == ((4, 2), (8, 3))
 
     def test_bare_method_string_rejected(self):
         for methods in ("oracle", 5):

@@ -158,9 +158,26 @@ class TestUnimodal:
         assert fit.mode == 3
 
     def test_nan_split_error_never_wins(self):
-        # pooling the tied -1e308 entries overflows, and the error of split 4
-        # is NaN (inf - inf); split 1 is the first of the rest
+        # the error of split 4 overflows to inf; split 1 is the first of
+        # the rest
         assert unimodal_fit([1e308, 1e308, -1e308, -1e308]).mode == 1
+
+    def test_overflowing_pool_keeps_the_exact_fit(self):
+        # the running weighted sums of the tied +-1e308 entries overflow, but
+        # their means do not; an already unimodal vector fits itself
+        y = [1e308, 1e308, -1e308, -1e308]
+        fit = unimodal_fit(y)
+        assert np.array_equal(fit.fitted, y)
+        assert fit.sse == 0.0
+        assert np.array_equal(isotonic_fit([1e308, 1e308]).fitted, [1e308, 1e308])
+        assert np.array_equal(prefix_isotonic_errors([1e308, 1e308]), [0.0, 0.0])
+
+    def test_unrepresentable_error_is_rejected(self):
+        # every unimodal fit of this vector is about 1e616 away from it
+        y = [1.0, 1e308, -1e308, 3.0, 2.0]
+        with pytest.raises(ValueError, match="overflow"):
+            unimodal_fit(y)
+        assert prefix_isotonic_errors(y)[-1] == np.inf
 
     def test_increasing_has_last_mode(self):
         fit = unimodal_fit([1.0, 2.0, 3.0])
