@@ -72,12 +72,12 @@ from .shape import (
 )
 from .synth import (
     FAMILIES,
-    GeneratorSpec,
-    NoiseSpec,
+    check_noise,
     draw_noise,
     draw_truth,
     gen_noise,
     gen_observation,
+    gen_permutation,
     gen_truth,
 )
 

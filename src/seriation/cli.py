@@ -22,14 +22,7 @@ import json
 import sys
 
 from . import experiments, metrics, synth
-from .core import (
-    Permutation,
-    derive_rng,
-    read_matrix_csv,
-    read_permutation,
-    write_matrix_csv,
-    write_permutation,
-)
+from .core import read_matrix_csv, read_permutation, write_matrix_csv, write_permutation
 from .estimators import METHODS, EstimatorConfig, estimation_losses, fit
 from .shape import MONOTONE, UNIMODAL
 
@@ -51,21 +44,18 @@ def _add_generate(sub):
 
 
 def _cmd_generate(args) -> int:
-    spec = synth.GeneratorSpec(
-        family=args.family, n=args.n, m=args.m, seed=args.seed,
-        blocks=args.blocks, path=args.custom_path,
-    )
-    noise = synth.NoiseSpec(kind=args.noise, sigma=args.sigma, seed=args.seed)
-    truth = synth.gen_truth(spec)
+    # checked before anything is drawn or written, even if no noise is drawn
+    synth.check_noise(args.noise, args.sigma)
+    truth = synth.gen_truth(args.family, args.n, args.m, seed=args.seed,
+                            blocks=args.blocks, path=args.custom_path)
     write_matrix_csv(truth, args.out)
     if args.perm_out or args.obs_out:
-        rng = derive_rng(args.seed, synth.PERMUTATION_STREAM)
-        p = Permutation.random(args.n, rng)
+        p = synth.gen_permutation(args.n, args.seed)
         if args.perm_out:
             write_permutation(p, args.perm_out)
         if args.obs_out:
-            y = synth.gen_observation(truth, p, noise)
-            write_matrix_csv(y, args.obs_out)
+            noise = synth.gen_noise(args.noise, args.sigma, args.n, args.m, args.seed)
+            write_matrix_csv(synth.gen_observation(truth, p, noise), args.obs_out)
     return 0
 
 

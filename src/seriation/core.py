@@ -19,9 +19,6 @@ import numpy as np
 # Absolute tolerance for equality-of-reals in invariant checks.
 EPS = 1e-9
 
-# Relative tolerance for comparing SSE values of candidate fits.
-SSE_REL_TOL = 1e-12
-
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and canonicalize a dense matrix.

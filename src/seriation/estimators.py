@@ -24,7 +24,7 @@ from .core import (
     frobenius_sq_dist,
     inverse,
 )
-from .metrics import gap_scores
+from .metrics import _gap_scores
 from .shape import MONOTONE, ShapeSpec, _project_columns
 
 METHODS = ("rankscore", "ranksum", "exhaustive", "oracle", "average")
@@ -123,7 +123,7 @@ def rank_score(y, cfg: EstimatorConfig) -> FitResult:
         )
     n, m = y.shape
     tau = cfg.resolve_tau(n, m)
-    scores = gap_scores(y, 2.0 * tau)
+    scores = _gap_scores(y, 2.0 * tau)
     order = np.argsort(scores, kind="stable")
     return _ordered_fit(y, order, MONOTONE, scores=scores)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, derive_rng, permute_rows
+from .core import Permutation, derive_rng
 from .estimators import (
     EXHAUSTIVE_ROW_CAP,
     METHODS,
@@ -30,7 +30,7 @@ from .estimators import (
     estimation_losses,
     fit,
 )
-from .synth import FAMILIES, NOISE_KINDS, draw_noise, draw_truth
+from .synth import FAMILIES, check_noise, draw_noise, draw_truth, gen_observation
 
 M_RULES = ("n^1/2", "n", "n^3/2")
 
@@ -80,8 +80,7 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         object.__setattr__(self, "methods", methods)
-        if self.noise_kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.noise_kind!r}")
+        check_noise(self.noise_kind, self.sigma)
         for name in ("replications", "blocks", "seed", "n_min", "n_max", "n_points"):
             value = getattr(self, name)
             if not _is_int(value) and not (value is None and name in ("n_min", "n_max")):
@@ -186,9 +185,9 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list[Experime
             rng = derive_rng(cfg.seed, n, m, rep)
             truth = draw_truth(cfg.family, n, m, rng, blocks=cfg.blocks)
             p_true = Permutation.random(n, rng)
-            # in place: one n x m temporary fewer than a sum, same floats
-            y = permute_rows(p_true, truth)
-            y += draw_noise(cfg.noise_kind, cfg.sigma, n, m, rng)
+            # the noise is a temporary: it is freed before the fits run
+            y = gen_observation(truth, p_true,
+                                draw_noise(cfg.noise_kind, cfg.sigma, n, m, rng))
             for meth in cfg.methods:
                 t0 = time.perf_counter()
                 result = fit(meth, y, est, p_true)

@@ -291,7 +291,11 @@ def gap_scores(a, threshold: float) -> np.ndarray:
     (``inf - inf``), which no union can express; such input is counted by
     the reference.
     """
-    a = check_matrix(a)
+    return _gap_scores(check_matrix(a), threshold)
+
+
+def _gap_scores(a: np.ndarray, threshold: float) -> np.ndarray:
+    """:func:`gap_scores` for a validated matrix."""
     n, m = a.shape
     rowsum = a.sum(axis=1) / np.sqrt(m)
     if not np.all(np.isfinite(rowsum)):

@@ -258,9 +258,14 @@ def project_columns(a, shape: ShapeSpec) -> np.ndarray:
 
     The monotone case dispatches to scipy's compiled PAVA column by column
     (it computes the identical projection; equivalence with
-    :func:`isotonic_fit` is pinned by tests).
+    :func:`isotonic_fit` is pinned by tests). Raises ``ValueError`` when the
+    projection is not representable: scipy's pooled sums overflow near
+    +-1e308 and would return inf.
     """
-    return _project_columns(check_matrix(a), shape)
+    out = _project_columns(check_matrix(a), shape)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("column projection overflowed (entries near the float64 limit)")
+    return out
 
 
 def _project_columns(a: np.ndarray, shape: ShapeSpec) -> np.ndarray:

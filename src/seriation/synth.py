@@ -1,4 +1,12 @@
-"""Seeded generators for ground-truth matrices and noise.
+"""Seeded generators for ground-truth matrices, noise and observations.
+
+The observation model ``Y = permute_rows(p, A) + Z`` is stated once, in
+:func:`gen_observation`, for ``generate`` and the experiment harness.
+
+Two seeding policies: the ``gen_*`` functions (``generate``) draw truth,
+noise and permutation from one Philox stream each, derived from one seed;
+the ``draw_*`` functions draw from the caller's generator, which
+experiments derive per (seed, n, m, replication).
 
 Each family produces a column-increasing matrix:
 
@@ -21,7 +29,6 @@ Each family produces a column-increasing matrix:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,49 +46,23 @@ FAMILIES = (
 
 NOISE_KINDS = ("gaussian", "rademacher", "none")
 
-# Sub-stream tags so one user-facing seed yields independent truth / noise /
-# permutation draws.
+# Sub-stream tags of the gen_* draws: one seed yields independent truth,
+# noise and permutation streams.
 _TRUTH_STREAM = 0
 _NOISE_STREAM = 1
-PERMUTATION_STREAM = 2
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    family: str
-    n: int
-    m: int
-    seed: int = 0
-    blocks: int = 5
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be >= 1")
-        if self.blocks < 1:
-            raise ValueError("blocks must be >= 1")
-        if self.family == "custom" and not self.path:
-            raise ValueError("custom family requires a path")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    kind: str = "gaussian"
-    sigma: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+_PERMUTATION_STREAM = 2
 
 
 def draw_truth(family: str, n: int, m: int, rng: np.random.Generator,
                blocks: int = 5, path: str | None = None) -> np.ndarray:
-    """Generator-level truth draw; `gen_truth` wraps this with seeding."""
+    """Draw an n x m truth of ``family`` from ``rng``, checking every
+    argument; `gen_truth` seeds it."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    if blocks < 1:
+        raise ValueError("blocks must be >= 1")
     if family == "sparse-rows":
         a = np.zeros((n, m))
         a[:, 0] = np.arange(1, n + 1) * np.sqrt(m)
@@ -100,44 +81,57 @@ def draw_truth(family: str, n: int, m: int, rng: np.random.Generator,
         sizes[:r] += 1  # remainder spread over the first blocks
         vals = np.sort(rng.uniform(size=(blocks, m)), axis=0)
         a = np.repeat(vals, sizes, axis=0)
-    elif family == "custom":
+    else:
         if not path:
             raise ValueError("custom family requires a path")
         a = read_matrix_csv(path)
         if a.shape != (n, m):
             raise ValueError(f"{path}: expected shape {(n, m)}, got {a.shape}")
-    else:
-        raise ValueError(f"unknown family {family!r}")
     a = check_matrix(a)
     if not has_monotone_columns(a, tol=0.0):
         raise ValueError(f"{family} produced non-increasing columns")
     return a
 
 
-def gen_truth(spec: GeneratorSpec) -> np.ndarray:
-    rng = derive_rng(spec.seed, _TRUTH_STREAM)
-    return draw_truth(spec.family, spec.n, spec.m, rng,
-                      blocks=spec.blocks, path=spec.path)
+def gen_truth(family: str, n: int, m: int, seed: int = 0, blocks: int = 5,
+              path: str | None = None) -> np.ndarray:
+    return draw_truth(family, n, m, derive_rng(seed, _TRUTH_STREAM), blocks=blocks, path=path)
+
+
+def check_noise(kind: str, sigma: float) -> None:
+    """Raise ``ValueError`` unless ``kind`` is a noise kind and ``sigma`` is
+    finite and >= 0."""
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
 
 
 def draw_noise(kind: str, sigma: float, n: int, m: int,
                rng: np.random.Generator) -> np.ndarray:
+    """Draw n x m noise of ``kind`` and scale ``sigma`` from ``rng``."""
+    check_noise(kind, sigma)
     if kind == "gaussian":
         return rng.normal(0.0, sigma, size=(n, m)) if sigma > 0 else np.zeros((n, m))
     if kind == "rademacher":
         return sigma * (2.0 * rng.integers(0, 2, size=(n, m)) - 1.0)
-    if kind == "none":
-        return np.zeros((n, m))
-    raise ValueError(f"unknown noise kind {kind!r}")
+    return np.zeros((n, m))
 
 
-def gen_noise(spec: NoiseSpec, n: int, m: int) -> np.ndarray:
-    rng = derive_rng(spec.seed, _NOISE_STREAM)
-    return draw_noise(spec.kind, spec.sigma, n, m, rng)
+def gen_noise(kind: str, sigma: float, n: int, m: int, seed: int = 0) -> np.ndarray:
+    return draw_noise(kind, sigma, n, m, derive_rng(seed, _NOISE_STREAM))
 
 
-def gen_observation(truth, p: Permutation, noise: NoiseSpec) -> np.ndarray:
-    """Permute the truth rows and add noise: the observation model."""
-    truth = check_matrix(truth, "truth")
-    n, m = truth.shape
-    return permute_rows(p, truth) + gen_noise(noise, n, m)
+def gen_permutation(n: int, seed: int = 0) -> Permutation:
+    return Permutation.random(n, derive_rng(seed, _PERMUTATION_STREAM))
+
+
+def gen_observation(truth, p: Permutation, noise) -> np.ndarray:
+    """The observation model: the rows of ``truth`` moved by ``p``, plus
+    ``noise``, a finite matrix of the same shape, added in place."""
+    y = permute_rows(p, truth)
+    noise = check_matrix(noise, "noise")
+    if noise.shape != y.shape:
+        raise ValueError(f"noise shape {noise.shape} does not match truth shape {y.shape}")
+    y += noise
+    return y

@@ -8,7 +8,7 @@ from seriation.cli import main
 from seriation.core import read_matrix_csv, read_permutation
 from seriation.estimators import METHODS, EstimatorConfig, fit
 from seriation.metrics import complexity_report
-from seriation.synth import GeneratorSpec, gen_truth
+from seriation.synth import gen_noise, gen_observation, gen_permutation, gen_truth
 
 
 def run_cli(capsys, *argv):
@@ -24,7 +24,7 @@ class TestGenerate:
                              "--n", 4, "--m", 4, "--out", out)
         assert code == 0
         a = read_matrix_csv(out)
-        assert np.array_equal(a, gen_truth(GeneratorSpec("triangular", 4, 4)))
+        assert np.array_equal(a, gen_truth("triangular", 4, 4))
 
     def test_observation_pipeline(self, tmp_path, capsys):
         out, pf, obs = tmp_path / "a.csv", tmp_path / "p.txt", tmp_path / "y.csv"
@@ -33,8 +33,12 @@ class TestGenerate:
                              "--perm-out", pf, "--noise", "gaussian",
                              "--sigma", 0.5, "--obs-out", obs)
         assert code == 0
-        assert read_permutation(pf).n == 5
-        assert read_matrix_csv(obs).shape == (5, 3)
+        truth = gen_truth("random-v-bounded", 5, 3, seed=9)
+        p = gen_permutation(5, seed=9)
+        assert np.array_equal(read_matrix_csv(out), truth)
+        assert read_permutation(pf) == p
+        y = gen_observation(truth, p, gen_noise("gaussian", 0.5, 5, 3, seed=9))
+        assert np.array_equal(read_matrix_csv(obs), y)
 
     def test_reproducible(self, tmp_path, capsys):
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -44,14 +48,30 @@ class TestGenerate:
                 "--m", 2, "--seed", 3, "--out", pb)
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_non_finite_sigma_is_error_code(self, tmp_path, capsys):
-        out, obs = tmp_path / "a.csv", tmp_path / "y.csv"
-        code, _, err = run_cli(capsys, "generate", "--family", "triangular",
-                               "--n", 4, "--m", 4, "--out", out,
-                               "--sigma", "nan", "--obs-out", obs)
+    @pytest.mark.parametrize("out_flag", ["--obs-out", "--perm-out"], ids=["obs-out", "perm-out"])
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(("--n", 0), "n and m", id="n-0"),
+        pytest.param(("--m", 0), "n and m", id="m-0"),
+        pytest.param(("--blocks", 0), "blocks", id="blocks-0"),
+        pytest.param(("--family", "custom"), "path", id="custom-without-path"),
+        pytest.param(("--family", "random-k-blocks", "--n", 3, "--blocks", 5), "blocks",
+                     id="blocks-above-n"),
+        pytest.param(("--sigma", "nan"), "finite", id="sigma-nan"),
+        pytest.param(("--sigma", "inf"), "finite", id="sigma-inf"),
+        pytest.param(("--sigma", -1), "finite", id="sigma-negative"),
+    ])
+    def test_rejected_call_is_error_code(self, tmp_path, capsys, flags, message, out_flag):
+        # argparse keeps the last of a repeated option, so flags override
+        # the defaults given first
+        out, extra = tmp_path / "a.csv", tmp_path / "extra.txt"
+        code, stdout, err = run_cli(capsys, "generate", "--family", "triangular",
+                                    "--n", 4, "--m", 4, "--out", out,
+                                    out_flag, extra, *flags)
         assert code == 2
-        assert err.startswith("error:") and "finite" in err
-        assert not out.exists() and not obs.exists()
+        assert stdout == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_family_exits_nonzero(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -72,6 +73,23 @@ class TestRankScore:
         fit = rank_score(y, EstimatorConfig(tau=6.0))
         assert np.array_equal(fit.scores, np.count_nonzero(pairwise_gaps(y) >= 12.0, axis=0))
         assert 0 < fit.scores.sum() < 300 * 300
+
+    def test_checks_its_input_once(self, monkeypatch):
+        calls = []
+        check = core.check_matrix
+
+        def spy(a, name="matrix"):
+            calls.append(name)
+            return check(a, name)
+
+        # every module that binds the check, so a second scan anywhere counts
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("seriation.") \
+                    and getattr(mod, "check_matrix", None) is check:
+                monkeypatch.setattr(mod, "check_matrix", spy)
+        y = derive_rng(5).normal(size=(20, 6))
+        rank_score(y, EstimatorConfig(tau=0.5))
+        assert len(calls) == 1
 
     def test_rejects_non_finite_config(self):
         for kwargs in ({"sigma": np.nan}, {"sigma": np.inf}, {"tau": np.nan},

@@ -241,6 +241,14 @@ class TestProjectColumns:
         for j in range(3):
             assert np.array_equal(out[:, j], fixed_mode_fit(a[:, j], 2).fitted)
 
+    def test_overflowing_monotone_projection_is_rejected(self):
+        # scipy's pooled sum of the tied entries overflows to inf; the
+        # unimodal path redoes it as a weighted mean and fits exactly
+        a = np.array([[1e308], [1e308]])
+        with pytest.raises(ValueError, match="overflow"):
+            project_columns(a, MONOTONE)
+        assert np.array_equal(project_columns(a, UNIMODAL), a)
+
 
 class TestDykstra:
     def test_fixed_point(self):
