@@ -167,12 +167,18 @@ def _cmd_experiment(args) -> int:
     else:
         with open(args.config) as f:
             raw = json.load(f)
-        known = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object of field values")
+        fields = dataclasses.fields(experiments.ExperimentConfig)
+        known = {f.name for f in fields}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(
                 f"unknown config fields {sorted(unknown)}; expected a subset of {sorted(known)}"
             )
+        missing = {f.name for f in fields if f.default is dataclasses.MISSING} - set(raw)
+        if missing:
+            raise ValueError(f"missing config fields {sorted(missing)}")
         cfg = experiments.ExperimentConfig(**raw)
         records = experiments.run_experiment(cfg, timing=args.timing)
         out = args.out or cfg.out_path

@@ -12,6 +12,8 @@ in the package are translated once, at this boundary.
 from __future__ import annotations
 
 import math
+import numbers
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +47,19 @@ def check_vector(y, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def check_nonnegative(value, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number, finite and
+    >= 0. A bool or a numeric string is no real number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float64 range
+        finite = False
+    if not (finite and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -225,28 +240,43 @@ def write_matrix_csv(a: np.ndarray, path) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path, "r") as f:
+    """Read a matrix CSV: decimal floats separated by ``,``, one row per
+    line, blank lines skipped; no quotes, comments or digit underscores.
+
+    Every rejection raises ``ValueError`` naming the path; a ragged row or a
+    bad number also names its 1-based line in the file.
+    """
+    lineno, line, width = 0, "", None
+
+    def rows(f):
+        # loadtxt pulls one row at a time, so when it rejects a row, that
+        # row is the last line handed to it
+        nonlocal lineno, line, width
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
+            if line.strip():
+                if width is None:
+                    width = line.count(",") + 1
+                yield line
+
+    with open(path, "r") as f:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                a = np.loadtxt(rows(f), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
+        except ValueError as e:
+            fields = line.count(",") + 1
+            if fields != width:
                 raise ValueError(
-                    f"{path}: ragged row at line {lineno} "
-                    f"({len(parts)} fields, expected {width})"
-                )
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as e:
-                raise ValueError(f"{path}: bad number at line {lineno}: {e}") from None
-    if not rows:
+                    f"{path}: ragged row at line {lineno} ({fields} fields, expected {width})"
+                ) from None
+            # loadtxt's own position counts data rows from 0
+            reason = str(e).split(" at row ")[0]
+            raise ValueError(f"{path}: bad number at line {lineno}: {reason}") from None
+    if a.size == 0:
         raise ValueError(f"{path}: empty matrix file")
-    return check_matrix(np.array(rows, dtype=np.float64), str(path))
+    return check_matrix(a, str(path))
 
 
 def write_permutation(p: Permutation, path) -> None:

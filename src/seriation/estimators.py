@@ -21,6 +21,7 @@ from .core import (
     _permute_rows,
     _sq_dist,
     check_matrix,
+    check_nonnegative,
     frobenius_sq_dist,
     inverse,
 )
@@ -71,10 +72,10 @@ class EstimatorConfig:
     tau_constant: float | None = None
 
     def __post_init__(self):
-        for name in ("sigma", "tau", "tau_constant"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        check_nonnegative(self.sigma, "sigma")
+        for name in ("tau", "tau_constant"):
+            if getattr(self, name) is not None:
+                check_nonnegative(getattr(self, name), name)
 
     def resolve_tau(self, n: int, m: int) -> float:
         if self.tau is not None:

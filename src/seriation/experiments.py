@@ -80,6 +80,8 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         object.__setattr__(self, "methods", methods)
+        if self.out_path is not None and not isinstance(self.out_path, str):
+            raise ValueError(f"out_path must be a path string, got {self.out_path!r}")
         check_noise(self.noise_kind, self.sigma)
         for name in ("replications", "blocks", "seed", "n_min", "n_max", "n_points"):
             value = getattr(self, name)

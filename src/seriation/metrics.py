@@ -104,6 +104,25 @@ _R_TILE_BYTES = 1 << 18
 _R_CHUNK_BYTES = 1 << 21
 
 
+# Squares of numbers outside [2^-500, 2^500] may under- or overflow float64.
+_SQUARE_SAFE_LO, _SQUARE_SAFE_HI = 2.0**-500, 2.0**500
+
+
+def _scaled_scores(a: np.ndarray, i: int, rows: np.ndarray) -> np.ndarray:
+    """Pair scores of row ``i`` against ``rows``, on the differences divided
+    by their largest entry: the score is scale-free, and the squares of
+    scaled differences neither underflow nor overflow. Each row must differ
+    from row ``i``."""
+    with np.errstate(over="ignore"):
+        d = a[rows] - a[i]
+    if not np.all(np.isfinite(d)):  # a difference past the float64 range
+        d = 0.5 * a[rows] - 0.5 * a[i]
+    d = np.abs(d)
+    d /= d.max(axis=1, keepdims=True)
+    sq = np.einsum("ij,ij->i", d, d)
+    return np.minimum(sq, a.shape[1] * sq / d.sum(axis=1) ** 2)
+
+
 def r_statistic(a) -> float:
     """Average of the ``n`` largest pair scores over ordered pairs of
     non-identical rows of a column-increasing matrix.
@@ -154,18 +173,24 @@ def r_statistic(a) -> float:
             distinct[:i] = held_distinct[at:at + i]
             if i == r1 - 1:
                 del chunks[0]
-        for t0 in range(i + 1, n, tile):
-            t1 = min(t0 + tile, n)
-            u = buf[:t1 - t0]
-            np.subtract(a[t0:t1], a[i], out=u)
-            np.abs(u, out=u)
-            np.einsum("ij,ij->i", u, u, out=sq[t0:t1])
-            np.maximum.reduce(u, axis=1, out=linf[t0:t1])
-            np.add.reduce(u, axis=1, out=l1[t0:t1])
-        np.greater(linf[i + 1:], 0.0, out=distinct[i:])
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where rows agree
+        # 0/0 where rows agree; overflow and underflow where they differ
+        # by more than 2^500 or less than 2^-500, rescored below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for t0 in range(i + 1, n, tile):
+                t1 = min(t0 + tile, n)
+                u = buf[:t1 - t0]
+                np.subtract(a[t0:t1], a[i], out=u)
+                np.abs(u, out=u)
+                np.einsum("ij,ij->i", u, u, out=sq[t0:t1])
+                np.maximum.reduce(u, axis=1, out=linf[t0:t1])
+                np.add.reduce(u, axis=1, out=l1[t0:t1])
             s2 = sq[i + 1:]
             np.minimum(s2 / linf[i + 1:]**2, m * s2 / l1[i + 1:]**2, out=scores[i:])
+        np.greater(linf[i + 1:], 0.0, out=distinct[i:])
+        d_max = linf[i + 1:]
+        far = distinct[i:] & ((d_max <= _SQUARE_SAFE_LO) | (d_max >= _SQUARE_SAFE_HI))
+        if far.any():
+            scores[i:][far] = _scaled_scores(a, i, i + 1 + np.flatnonzero(far))
         for r0, r1, held, held_distinct in chunks:
             lo = max(r0, i + 1)
             at = tri[lo:r1] - tri[r0] + i

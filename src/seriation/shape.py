@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression as _scipy_isotonic
 
 from .core import EPS, check_matrix, check_vector
 
@@ -272,8 +271,12 @@ def _project_columns(a: np.ndarray, shape: ShapeSpec) -> np.ndarray:
     """:func:`project_columns` for a validated matrix."""
     out = np.empty_like(a)
     if shape.kind == "monotone":
+        # scipy.optimize takes most of a cold start, and only this branch
+        # needs it: load it at the first monotone fit, not at import
+        from scipy.optimize import isotonic_regression
+
         for j in range(a.shape[1]):
-            out[:, j] = _scipy_isotonic(a[:, j]).x
+            out[:, j] = isotonic_regression(a[:, j]).x
     else:
         for j in range(a.shape[1]):
             out[:, j] = _fit_vector(a[:, j], shape).fitted
@@ -287,7 +290,8 @@ def is_increasing(y, tol: float = EPS) -> bool:
 
 def has_monotone_columns(a, tol: float = EPS) -> bool:
     a = np.asarray(a, dtype=np.float64)
-    return bool(np.all(np.diff(a, axis=0) >= -tol))
+    with np.errstate(over="ignore"):  # a rise past the float64 range is inf, still a rise
+        return bool(np.all(np.diff(a, axis=0) >= -tol))
 
 
 def satisfies(fitted: np.ndarray, shape: ShapeSpec, tol: float = EPS) -> bool:

@@ -28,11 +28,16 @@ Each family produces a column-increasing matrix:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import Permutation, check_matrix, derive_rng, permute_rows, read_matrix_csv
+from .core import (
+    Permutation,
+    check_matrix,
+    check_nonnegative,
+    derive_rng,
+    permute_rows,
+    read_matrix_csv,
+)
 from .shape import has_monotone_columns
 
 FAMILIES = (
@@ -100,11 +105,10 @@ def gen_truth(family: str, n: int, m: int, seed: int = 0, blocks: int = 5,
 
 def check_noise(kind: str, sigma: float) -> None:
     """Raise ``ValueError`` unless ``kind`` is a noise kind and ``sigma`` is
-    finite and >= 0."""
+    a real number, finite and >= 0."""
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    check_nonnegative(sigma, "sigma")
 
 
 def draw_noise(kind: str, sigma: float, n: int, m: int,

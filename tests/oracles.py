@@ -144,3 +144,35 @@ def estimation_losses_reference(fit, p_true, a_true) -> tuple[float, float, floa
         frobenius_sq_dist_reference(_moved_rows(fit.p_hat.mapping, a_true), target) / (n * m),
         frobenius_sq_dist_reference(fit.a_hat, a_true) / (n * m),
     )
+
+
+def read_matrix_csv_reference(path) -> np.ndarray:
+    """A matrix CSV read line by line with Python's ``float``: blank lines
+    are skipped, the first other line fixes the width, and every rejection
+    raises ``ValueError`` naming the path (and the 1-based line, for a
+    ragged row or a bad number)."""
+    rows = []
+    width = None
+    with open(path, "r") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if width is None:
+                width = len(parts)
+            elif len(parts) != width:
+                raise ValueError(
+                    f"{path}: ragged row at line {lineno} "
+                    f"({len(parts)} fields, expected {width})"
+                )
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError as e:
+                raise ValueError(f"{path}: bad number at line {lineno}: {e}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty matrix file")
+    a = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{path} contains non-finite entries")
+    return a

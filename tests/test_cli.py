@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import seriation
 from seriation.cli import main
 from seriation.core import read_matrix_csv, read_permutation
 from seriation.estimators import METHODS, EstimatorConfig, fit
@@ -321,7 +325,8 @@ class TestExperiment:
     @pytest.mark.parametrize("fields", [{"sigma": math.nan},
                                         {"methods": ["rankscore"], "tau": None},
                                         {"replications": 1.5},
-                                        {"grid": [[4.7, 2]]}])
+                                        {"grid": [[4.7, 2]]},
+                                        {"sigma": 10**400}])
     def test_invalid_config_is_error_code(self, tmp_path, capsys, fields):
         cfg = {"family": "random-v-bounded", "methods": ["oracle"],
                "grid": [[4, 2]], "replications": 1, **fields}
@@ -333,6 +338,39 @@ class TestExperiment:
         assert err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["sigma", "tau", "tau_constant"])
+    @pytest.mark.parametrize("value", ["1", "6", True, False, [1], [[1.0]]],
+                             ids=["str-1", "str-6", "true", "false", "list", "nested-list"])
+    def test_non_number_config_value_is_error_code(self, tmp_path, capsys, field, value):
+        cfg = {"family": "random-v-bounded", "methods": ["oracle", "rankscore"],
+               "grid": [[4, 2]], "replications": 1, field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "r.csv"
+        code, stdout, err = run_cli(capsys, "experiment", "--config", cfg_path, "--out", out)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {field} must be a real number")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        ([1, 2], "JSON object"),
+        ("oracle", "JSON object"),
+        ({"family": "random-v-bounded"}, "missing config fields ['methods']"),
+        ({"family": "random-v-bounded", "methods": ["oracle"], "grid": [[4, 2]],
+          "out_path": 3}, "out_path"),
+    ], ids=["list", "bare-string", "missing-methods", "out-path-not-a-string"])
+    def test_malformed_config_is_error_code(self, tmp_path, capsys, raw, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code, stdout, err = run_cli(capsys, "experiment", "--config", cfg_path)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_bad_config_field(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"family": "random-v-bounded",
@@ -341,3 +379,49 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "--config", cfg_path,
                                "--out", str(tmp_path / "r.csv"))
         assert code == 2
+
+
+# Run in a fresh interpreter: the test session itself has long since
+# imported scipy.
+_STARTUP_SCRIPT = """
+import json, sys, tempfile, os
+import numpy as np
+import seriation, seriation.cli
+seriation.cli.build_parser()
+seen = {"start-up": "scipy" in sys.modules}
+with tempfile.TemporaryDirectory() as d:
+    a, p, y = (os.path.join(d, f) for f in ("a.csv", "p.txt", "y.csv"))
+    for name, argv in [
+        ("generate", ["generate", "--family", "random-v-bounded", "--n", "12", "--m", "5",
+                      "--out", a, "--perm-out", p, "--obs-out", y]),
+        ("metrics", ["metrics", a]),
+        ("estimate unimodal oracle", ["estimate", "--method", "oracle", "--shape", "unimodal",
+                                      "--in", y, "--perm", p]),
+    ]:
+        assert seriation.cli.main(argv) == 0, name
+        seen[name] = "scipy" in sys.modules
+y = np.random.default_rng(0).normal(size=(12, 5))
+out = seriation.project_columns(y, seriation.MONOTONE)
+seen["monotone projection"] = "scipy" in sys.modules
+seen["matches isotonic_fit"] = all(
+    np.allclose(out[:, j], seriation.isotonic_fit(y[:, j]).fitted, atol=1e-12)
+    for j in range(5))
+print(json.dumps(seen), file=sys.stderr)
+"""
+
+
+class TestStartup:
+    def test_scipy_loads_at_first_monotone_fit(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(seriation.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        r = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], env=env,
+                           capture_output=True, text=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stderr.splitlines()[-1]) == {
+            "start-up": False,
+            "generate": False,
+            "metrics": False,
+            "estimate unimodal oracle": False,
+            "monotone projection": True,
+            "matches isotonic_fit": True,
+        }

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import read_matrix_csv_reference
 
 from seriation.core import (
     Permutation,
@@ -223,9 +226,106 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("text, value", [("1_0\n", 10.0), ("\u0661\u0662\n", 12.0)],
+                             ids=["underscore", "arabic-indic-digits"])
+    def test_python_only_number_forms_rejected(self, tmp_path, text, value):
+        # float() reads digit underscores and non-ASCII digits; numpy's parser
+        # and the documented format do not
+        path = tmp_path / "a.csv"
+        path.write_text(text, encoding="utf-8")
+        assert read_matrix_csv_reference(path).tolist() == [[value]]
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: bad number at line 1"):
+            read_matrix_csv(path)
+
+    def test_undecodable_file_names_the_path(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"1,2\n\xff,3\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_matrix_csv(path)
+
     def test_permutation_roundtrip(self, tmp_path):
         p = Permutation(np.array([2, 0, 1, 3]))
         path = tmp_path / "p.txt"
         write_permutation(p, path)
         assert read_permutation(path) == p
         assert path.read_text() == "2\n0\n1\n3\n"
+
+
+# Matrix CSV documents for the differential reader tests: values across
+# 1e-300..1e300 written as %.17g or repr, padded fields, blank and
+# whitespace-only lines anywhere, LF or CRLF endings. A fault, if given,
+# breaks one row so that the file is rejected.
+CSV_FAULTS = ("ragged", "x", "trailing-comma", "quoted", "comment", "nan", "empty")
+
+csv_values = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.sampled_from([1e-300, -1e-300, 1e300, -1e300, 0.0, -0.0]),
+)
+
+
+@st.composite
+def csv_documents(draw, faults=()):
+    fault = draw(st.sampled_from(faults)) if faults else None
+    n = draw(st.integers(2 if fault == "ragged" else 1, 5))
+    m = draw(st.integers(1, 5))
+    blank = st.lists(st.sampled_from(["", " ", "\t "]), max_size=2)
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    rows = []
+    for _ in range(n):
+        fmt = draw(st.sampled_from(["%.17g", "%r"]))
+        rows.append([draw(pad) + fmt % draw(csv_values) + draw(pad) for _ in range(m)])
+    k, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+    if fault == "ragged":
+        if m > 1 and draw(st.booleans()):
+            rows[k].pop()
+        else:
+            rows[k].append("1")
+    elif fault == "trailing-comma":
+        rows[k].append("")
+    elif fault in ("x", "quoted", "comment", "nan"):
+        rows[k][j] = {"x": "x", "quoted": f'"{rows[k][j]}"', "comment": f"{rows[k][j]} # c",
+                      "nan": "nan"}[fault]
+    lines = draw(blank)
+    if fault != "empty":
+        for i, row in enumerate(rows):
+            lines.append(",".join(row))
+            lines += draw(blank) if i < n - 1 else []
+    lines += draw(blank)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + (eol if lines and draw(st.booleans()) else "")
+
+
+def _write_document(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "a.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+class TestReaderAgainstReference:
+    @given(text=csv_documents())
+    @example(text="5")
+    @example(text="1,2,3\n")
+    @example(text="\n\n1e-300\r\n\r\n-1e300\r\n\n")
+    def test_accepted_files_read_identically(self, tmp_path_factory, text):
+        path = _write_document(tmp_path_factory, text)
+        got, want = read_matrix_csv(path), read_matrix_csv_reference(path)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(text=csv_documents(faults=CSV_FAULTS))
+    @example(text="")
+    @example(text=" \n\n\t\n")
+    @example(text="1,2\n1 # c,2\n")
+    def test_rejected_files_name_the_same_line(self, tmp_path_factory, text):
+        path = _write_document(tmp_path_factory, text)
+        errors = []
+        for reader in (read_matrix_csv, read_matrix_csv_reference):
+            with pytest.raises(ValueError) as info:
+                reader(path)
+            errors.append(str(info.value))
+        assert all(e.startswith(str(path)) for e in errors)
+        kinds = [[k for k in ("ragged", "bad number", "empty", "non-finite") if k in e]
+                 for e in errors]
+        assert kinds[0] == kinds[1] and len(kinds[0]) == 1
+        lines = [re.findall(r"at line (\d+)", e) for e in errors]
+        assert lines[0] == lines[1]

@@ -160,6 +160,20 @@ class TestRStatistic:
         if kind == "identical" or n == 1:
             assert r == 0.0
 
+    # row differences whose squares underflow (2^-900) or overflow (2^600,
+    # and past the float64 range at 2^1023); powers of two scale exactly
+    @pytest.mark.parametrize("power", [-900, -600, 600, 1000, 1023])
+    def test_scale_free_at_the_float64_edges(self, power):
+        a = np.sort(derive_rng(21).uniform(-1.0, 1.0, size=(12, 5)), axis=0)
+        r = r_statistic(a)
+        assert r_statistic(a * 2.0**power) == pytest.approx(r, rel=1e-12)
+
+    def test_tiny_row_differences(self):
+        # found by the CLI fuzz: 0/0 scores made `metrics` crash
+        a = np.array([[4.5e-232, 3.0e-251], [4.5e-232, 4.5e-232], [4.5e-232, 4.5e-232]])
+        assert r_statistic(a) == pytest.approx(1.0)
+        assert complexity_report(a).r_value == pytest.approx(1.0)
+
     def test_report_on_non_monotone(self):
         rep = complexity_report(np.array([[1.0], [0.0]]))
         assert rep.r_value is None
