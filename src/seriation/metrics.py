@@ -74,21 +74,30 @@ def variation(a) -> tuple[float, np.ndarray]:
     """Per-column max-minus-min and the matrix variation
     ``((1/m) sum v_j^(2/3))^(3/2)``."""
     a = check_matrix(a)
-    per_column = a.max(axis=0) - a.min(axis=0)
+    with np.errstate(over="ignore"):
+        per_column = a.max(axis=0) - a.min(axis=0)
+    if not np.all(np.isfinite(per_column)):
+        raise ValueError("column variation V overflows float64")
     v = float(np.mean(per_column ** (2.0 / 3.0)) ** 1.5)
     return v, per_column
 
 
 def pair_score(u, m: int) -> float:
     """Sparsity/density score of one row difference: small when ``u`` is
-    nearly 1-sparse or nearly constant, at most sqrt(m)."""
-    u = np.asarray(u, dtype=np.float64)
-    sq = float(np.dot(u, u))
-    if sq == 0.0:
-        return 0.0
-    linf = float(np.max(np.abs(u)))
-    l1 = float(np.sum(np.abs(u)))
-    return min(sq / linf**2, m * sq / l1**2)
+    nearly 1-sparse or nearly constant, at most sqrt(m); 0.0 when ``u`` is
+    zero."""
+    d = np.abs(np.asarray(u, dtype=np.float64))[None, :]
+    return float(_scores(d, m)[0]) if d.any() else 0.0
+
+
+def _scores(d: np.ndarray, m: int) -> np.ndarray:
+    """``min(||u||^2/||u||_inf^2, m ||u||^2/||u||_1^2)`` of each row ``u``
+    of ``d``, absolute differences with a non-zero entry each. The rows are
+    divided in place by their largest entry first: the score is scale-free,
+    and the squares of scaled entries neither underflow nor overflow."""
+    d /= d.max(axis=1, keepdims=True)
+    sq = np.einsum("ij,ij->i", d, d)
+    return np.minimum(sq, m * sq / d.sum(axis=1) ** 2)
 
 
 # r_statistic streams the rows below row i past it in tiles of about this
@@ -109,18 +118,13 @@ _SQUARE_SAFE_LO, _SQUARE_SAFE_HI = 2.0**-500, 2.0**500
 
 
 def _scaled_scores(a: np.ndarray, i: int, rows: np.ndarray) -> np.ndarray:
-    """Pair scores of row ``i`` against ``rows``, on the differences divided
-    by their largest entry: the score is scale-free, and the squares of
-    scaled differences neither underflow nor overflow. Each row must differ
-    from row ``i``."""
+    """Pair scores of row ``i`` against ``rows`` by the scale-free
+    :func:`_scores`. Each row must differ from row ``i``."""
     with np.errstate(over="ignore"):
         d = a[rows] - a[i]
     if not np.all(np.isfinite(d)):  # a difference past the float64 range
         d = 0.5 * a[rows] - 0.5 * a[i]
-    d = np.abs(d)
-    d /= d.max(axis=1, keepdims=True)
-    sq = np.einsum("ij,ij->i", d, d)
-    return np.minimum(sq, a.shape[1] * sq / d.sum(axis=1) ** 2)
+    return _scores(np.abs(d), a.shape[1])
 
 
 def r_statistic(a) -> float:

@@ -66,20 +66,33 @@ class VectorFit:
     mode: int | None = None
 
 
-def _pava(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators: the Euclidean projection of ``y`` onto the
-    cone of increasing vectors. O(n) via a merge stack of (mean, weight)
-    blocks; block means are kept as running weighted sums to avoid
-    cancellation. A weighted sum that overflows (entries near +-1e308) is
-    redone as a weighted mean, which only then changes the arithmetic."""
-    n = y.size
-    vals = []
-    wts = []
-    for v in y.tolist():
-        w = 1.0
+def _sweep(y: np.ndarray):
+    """Pool adjacent violators over ``y`` once, in O(n), with a merge stack
+    of (mean, weight, error) blocks. Means are running weighted sums, redone
+    as weighted means only where a sum overflows (entries near +-1e308).
+
+    Returns ``(err, top, size)``: ``err[j]`` is the SSE of the isotonic fit
+    of ``y[:j+1]`` (inf when too large for float64), and ``top[j]`` and
+    ``size[j]`` are the value and length of the block that ends at ``j``
+    once ``y[:j+1]`` is read. A block below the top never changes again, so
+    :func:`_walk` reads the fit of any prefix back from these records.
+    """
+    err = np.empty(y.size)
+    vals, wts, sses = [], [], []
+    top, size = [], []
+    total = 0.0
+    for j, v in enumerate(y.tolist()):
+        w = 1
+        s = 0.0
         while vals and vals[-1] >= v:
             v0 = vals.pop()
             w0 = wts.pop()
+            s0 = sses.pop()
+            total -= s0
+            try:
+                s = s + s0 + w * w0 / (w + w0) * (v - v0) ** 2
+            except OverflowError:  # a finite difference whose square overflows
+                s = math.inf
             pooled = (v * w + v0 * w0) / (w + w0)
             if pooled - pooled:  # inf or NaN
                 pooled = v * (w / (w + w0)) + v0 * (w0 / (w + w0))
@@ -87,12 +100,31 @@ def _pava(y: np.ndarray) -> np.ndarray:
             w += w0
         vals.append(v)
         wts.append(w)
-    out = np.empty(n)
-    i = 0
-    for v, w in zip(vals, wts):
-        k = int(w)
-        out[i:i + k] = v
-        i += k
+        sses.append(s)
+        top.append(v)
+        size.append(w)
+        total += s
+        err[j] = total
+    # a NaN total is inf - inf, from popping a block whose error overflowed;
+    # that error stays in the pooled block, so the total is inf
+    err[np.isnan(err)] = np.inf
+    return err, top, size
+
+
+def _walk(top, size, k: int):
+    """(value, start, end) of the blocks of the isotonic fit of the first
+    ``k`` swept entries, last block first."""
+    j = k - 1
+    while j >= 0:
+        yield top[j], j - size[j] + 1, j + 1
+        j -= size[j]
+
+
+def _fill(top, size, k: int) -> np.ndarray:
+    """The isotonic fit of the first ``k`` swept entries."""
+    out = np.empty(k)
+    for v, start, end in _walk(top, size, k):
+        out[start:end] = v
     return out
 
 
@@ -112,7 +144,8 @@ def isotonic_fit(y) -> VectorFit:
     inputs it covers.
     """
     y = check_vector(y)
-    fitted = _pava(y)
+    _, top, size = _sweep(y)
+    fitted = _fill(top, size, y.size)
     return VectorFit(fitted=fitted, sse=_sse(fitted, y))
 
 
@@ -120,19 +153,9 @@ def antitonic_fit(y) -> VectorFit:
     """Project ``y`` onto the cone of decreasing vectors (isotonic fit of the
     reversed vector, reversed back)."""
     y = check_vector(y)
-    fitted = _pava(y[::-1])[::-1].copy()
+    _, top, size = _sweep(y[::-1])
+    fitted = _fill(top, size, y.size)[::-1].copy()
     return VectorFit(fitted=fitted, sse=_sse(fitted, y))
-
-
-def _blocks(fitted: np.ndarray, y: np.ndarray):
-    """(value, sum of covered y, count) for each constant block of a fit."""
-    out = []
-    start = 0
-    for i in range(1, fitted.size + 1):
-        if i == fitted.size or fitted[i] != fitted[start]:
-            out.append((float(fitted[start]), float(np.sum(y[start:i])), i - start))
-            start = i
-    return out
 
 
 def fixed_mode_fit(y, l: int) -> VectorFit:
@@ -151,10 +174,21 @@ def fixed_mode_fit(y, l: int) -> VectorFit:
     l = int(l)
     if not 1 <= l <= n:
         raise ValueError(f"mode position {l} out of range [1, {n}]")
-    prefix = _pava(y[:l - 1]) if l > 1 else np.empty(0)
-    suffix = _pava(y[l:][::-1])[::-1] if l < n else np.empty(0)
+    _, top, size = _sweep(y[:l - 1])
+    inc = list(_walk(top, size, l - 1))
+    _, top, size = _sweep(y[l:][::-1])
+    dec = [(v, n - end, n - start) for v, start, end in _walk(top, size, n - l)]
 
-    blocks = _blocks(prefix, y[:l - 1]) + _blocks(suffix, y[l:])
+    fitted = np.empty(n)
+    blocks = []
+    # a block sum past the float64 range makes t, and so the error, non-finite
+    # once the scan reaches it, and _sse raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v, start, end in inc + dec:
+            fitted[start:end] = v
+            blocks.append((v, float(np.sum(y[start:end])), end - start))
+    # the values of one chain are distinct, so only the chain order counts:
+    # a tie across the chains is scanned prefix block first
     blocks.sort(key=lambda b: -b[0])
     count = 1.0
     total = float(y[l - 1])
@@ -166,90 +200,46 @@ def fixed_mode_fit(y, l: int) -> VectorFit:
         total += bsum
         t = total / count
 
-    fitted = np.empty(n)
-    if l > 1:
-        np.minimum(prefix, t, out=fitted[:l - 1])
     fitted[l - 1] = t
-    if l < n:
-        np.minimum(suffix, t, out=fitted[l:])
+    np.minimum(fitted, t, out=fitted)
     return VectorFit(fitted=fitted, sse=_sse(fitted, y), mode=l)
 
 
 def prefix_isotonic_errors(y) -> np.ndarray:
     """``err[j]`` = SSE of the isotonic fit of ``y[:j+1]``, for every prefix,
-    in one O(n) sweep (the fitted values themselves are not materialized).
-
-    Blocks pool exactly as in :func:`_pava`. An error too large for float64
-    reads inf.
-    """
-    y = check_vector(y)
-    err = np.empty(y.size)
-    vals, wts, sses = [], [], []
-    total = 0.0
-    for j, v in enumerate(y.tolist()):
-        w = 1.0
-        s = 0.0
-        while vals and vals[-1] >= v:
-            v0 = vals.pop()
-            w0 = wts.pop()
-            s0 = sses.pop()
-            total -= s0
-            try:
-                s = s + s0 + w * w0 / (w + w0) * (v - v0) ** 2
-            except OverflowError:  # a finite difference whose square overflows
-                s = math.inf
-            pooled = (v * w + v0 * w0) / (w + w0)
-            if pooled - pooled:  # inf or NaN
-                pooled = v * (w / (w + w0)) + v0 * (w0 / (w + w0))
-            v = pooled
-            w += w0
-        vals.append(v)
-        wts.append(w)
-        sses.append(s)
-        total += s
-        err[j] = total
-    # a NaN total is inf - inf, from popping a block whose error overflowed;
-    # that error stays in the pooled block, so the total is inf
-    err[np.isnan(err)] = np.inf
-    return err
+    in one O(n) sweep. An error too large for float64 reads inf."""
+    return _sweep(check_vector(y))[0]
 
 
 def unimodal_fit(y) -> VectorFit:
     """Project ``y`` onto the set of unimodal vectors (union of the
     fixed-mode cones over all peak positions).
 
-    Runs one prefix isotonic sweep and one suffix antitonic sweep, then picks
-    the split minimizing the summed error; ties go to the smallest split. The
-    reported ``mode`` is the smallest peak position whose fixed-mode fit
+    Runs one isotonic sweep forward and one backward, then picks the split
+    minimizing the summed prefix and suffix errors; ties go to the smallest
+    split. Both halves of the fit are read back from the same two sweeps.
+    The reported ``mode`` is the smallest peak position whose fixed-mode fit
     attains the same SSE: the split itself when the fitted value does not
     rise across the split boundary, the next position otherwise.
     """
     y = check_vector(y)
     n = y.size
-    e_inc = prefix_isotonic_errors(y)
-    e_dec = prefix_isotonic_errors(y[::-1])
+    e_inc, top_inc, size_inc = _sweep(y)
+    e_dec, top_dec, size_dec = _sweep(y[::-1])
 
     # err[k]: summed error of split k + 1; argmin takes the first minimum
     err = e_inc + np.append(e_dec[:n - 1][::-1], 0.0)
     best_split = int(np.argmin(err)) + 1
 
     fitted = np.empty(n)
-    fitted[:best_split] = _pava(y[:best_split])
+    fitted[:best_split] = _fill(top_inc, size_inc, best_split)
     if best_split < n:
-        fitted[best_split:] = _pava(y[best_split:][::-1])[::-1]
+        fitted[best_split:] = _fill(top_dec, size_dec, n - best_split)[::-1]
     if best_split == n or fitted[best_split - 1] >= fitted[best_split]:
         mode = best_split
     else:
         mode = best_split + 1
     return VectorFit(fitted=fitted, sse=_sse(fitted, y), mode=mode)
-
-
-def _fit_vector(y: np.ndarray, shape: ShapeSpec) -> VectorFit:
-    if shape.kind == "monotone":
-        return isotonic_fit(y)
-    if shape.kind == "unimodal":
-        return unimodal_fit(y)
-    return fixed_mode_fit(y, shape.mode)
 
 
 def project_columns(a, shape: ShapeSpec) -> np.ndarray:
@@ -279,7 +269,9 @@ def _project_columns(a: np.ndarray, shape: ShapeSpec) -> np.ndarray:
             out[:, j] = isotonic_regression(a[:, j]).x
     else:
         for j in range(a.shape[1]):
-            out[:, j] = _fit_vector(a[:, j], shape).fitted
+            y = a[:, j]
+            fit = unimodal_fit(y) if shape.kind == "unimodal" else fixed_mode_fit(y, shape.mode)
+            out[:, j] = fit.fitted
     return out
 
 

@@ -176,3 +176,143 @@ def read_matrix_csv_reference(path) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path} contains non-finite entries")
     return a
+
+
+# The shape-constrained vector fits as they stood before one sweep served
+# them all: a pool-adjacent-violators loop per fit, and a separate loop for
+# the prefix errors. Each returns what the package reports, ``(fitted, sse)``
+# or ``(fitted, sse, mode)``, on a finite 1-D float64 array.
+
+
+def pava_reference(y) -> np.ndarray:
+    """Isotonic fit by a merge stack of (mean, weight) blocks; a pooled sum
+    that overflows is redone as a weighted mean."""
+    vals = []
+    wts = []
+    for v in y.tolist():
+        w = 1.0
+        while vals and vals[-1] >= v:
+            v0 = vals.pop()
+            w0 = wts.pop()
+            pooled = (v * w + v0 * w0) / (w + w0)
+            if pooled - pooled:  # inf or NaN
+                pooled = v * (w / (w + w0)) + v0 * (w0 / (w + w0))
+            v = pooled
+            w += w0
+        vals.append(v)
+        wts.append(w)
+    out = np.empty(y.size)
+    i = 0
+    for v, w in zip(vals, wts):
+        k = int(w)
+        out[i:i + k] = v
+        i += k
+    return out
+
+
+def _sse_reference(fitted, y) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = fitted - y
+        sse = float(np.dot(d, d))
+    if not math.isfinite(sse):
+        raise ValueError("squared error of the fit overflows float64")
+    return sse
+
+
+def isotonic_fit_reference(y):
+    fitted = pava_reference(y)
+    return fitted, _sse_reference(fitted, y)
+
+
+def antitonic_fit_reference(y):
+    fitted = pava_reference(y[::-1])[::-1].copy()
+    return fitted, _sse_reference(fitted, y)
+
+
+def _blocks_reference(fitted, y):
+    """(value, sum of covered y, count) for each constant block of a fit."""
+    out = []
+    start = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, fitted.size + 1):
+            if i == fitted.size or fitted[i] != fitted[start]:
+                out.append((float(fitted[start]), float(np.sum(y[start:i])), i - start))
+                start = i
+    return out
+
+
+def fixed_mode_fit_reference(y, l: int):
+    """Fixed-mode fit at the 1-based peak ``l`` by a descending scan for the
+    peak value over the blocks of the prefix and suffix fits."""
+    n = y.size
+    prefix = pava_reference(y[:l - 1]) if l > 1 else np.empty(0)
+    suffix = pava_reference(y[l:][::-1])[::-1] if l < n else np.empty(0)
+    blocks = _blocks_reference(prefix, y[:l - 1]) + _blocks_reference(suffix, y[l:])
+    blocks.sort(key=lambda b: -b[0])
+    count = 1.0
+    total = float(y[l - 1])
+    t = total
+    for bval, bsum, bcount in blocks:
+        if t >= bval:
+            break
+        count += bcount
+        total += bsum
+        t = total / count
+    fitted = np.empty(n)
+    if l > 1:
+        np.minimum(prefix, t, out=fitted[:l - 1])
+    fitted[l - 1] = t
+    if l < n:
+        np.minimum(suffix, t, out=fitted[l:])
+    return fitted, _sse_reference(fitted, y), l
+
+
+def prefix_isotonic_errors_reference(y) -> np.ndarray:
+    """SSE of the isotonic fit of every prefix, by its own merge loop that
+    carries each block's error."""
+    err = np.empty(y.size)
+    vals, wts, sses = [], [], []
+    total = 0.0
+    for j, v in enumerate(y.tolist()):
+        w = 1.0
+        s = 0.0
+        while vals and vals[-1] >= v:
+            v0 = vals.pop()
+            w0 = wts.pop()
+            s0 = sses.pop()
+            total -= s0
+            try:
+                s = s + s0 + w * w0 / (w + w0) * (v - v0) ** 2
+            except OverflowError:
+                s = math.inf
+            pooled = (v * w + v0 * w0) / (w + w0)
+            if pooled - pooled:
+                pooled = v * (w / (w + w0)) + v0 * (w0 / (w + w0))
+            v = pooled
+            w += w0
+        vals.append(v)
+        wts.append(w)
+        sses.append(s)
+        total += s
+        err[j] = total
+    err[np.isnan(err)] = np.inf
+    return err
+
+
+def unimodal_fit_reference(y):
+    """Unimodal fit by four sweeps: the prefix and suffix errors pick the
+    split, then two more isotonic fits build the halves."""
+    n = y.size
+    e_inc = prefix_isotonic_errors_reference(y)
+    e_dec = prefix_isotonic_errors_reference(y[::-1])
+    err = e_inc + np.append(e_dec[:n - 1][::-1], 0.0)
+    best_split = int(np.argmin(err)) + 1
+    fitted = np.empty(n)
+    fitted[:best_split] = pava_reference(y[:best_split])
+    if best_split < n:
+        fitted[best_split:] = pava_reference(y[best_split:][::-1])[::-1]
+    if best_split == n or fitted[best_split - 1] >= fitted[best_split]:
+        mode = best_split
+    else:
+        mode = best_split + 1
+    return fitted, _sse_reference(fitted, y), mode

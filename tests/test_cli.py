@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ class TestMetrics:
         assert json.loads(out)["K"] == 3
         _, out, _ = run_cli(capsys, "metrics", path, "--quantize", "1e-6")
         assert json.loads(out)["K"] == 2
+
+    def test_overflowing_variation_is_error_code(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("-1e308,-1e308\n1e308,1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "metrics", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "variation V overflows" in err
+        assert "Traceback" not in err
 
     def test_missing_file_is_error_code(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "metrics", tmp_path / "absent.csv")

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -122,6 +123,11 @@ class TestRStatistic:
         assert pair_score(np.array([0.0, 2.0, 0.0]), 3) == pytest.approx(1.0)
         assert pair_score(np.array([1.0, 1.0, 1.0]), 3) == pytest.approx(1.0)
         assert pair_score(np.zeros(3), 3) == 0.0
+        # the squares of these differences overflow and underflow float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pair_score(np.array([1e200, 1e200]), 2) == 1.0
+            assert pair_score(np.array([1e-170, 0.0]), 2) == 1.0
 
     def test_degenerate_all_rows_identical(self):
         a = np.full((4, 3), 1.0)

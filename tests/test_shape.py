@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import dykstra_cone_projection
+from oracles import (
+    antitonic_fit_reference,
+    dykstra_cone_projection,
+    fixed_mode_fit_reference,
+    isotonic_fit_reference,
+    prefix_isotonic_errors_reference,
+    unimodal_fit_reference,
+)
 
 from seriation.core import EPS, derive_rng
 from seriation.shape import (
@@ -248,6 +255,65 @@ class TestProjectColumns:
         with pytest.raises(ValueError, match="overflow"):
             project_columns(a, MONOTONE)
         assert np.array_equal(project_columns(a, UNIMODAL), a)
+
+
+# Entries that stress the sweep: ties on a small-integer grid, pooled sums
+# that overflow near +-1e308, squares that underflow near 1e-300.
+_grid = st.integers(-3, 3).map(float)
+_extreme = st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+_wide = st.floats(allow_nan=False, allow_infinity=False)
+_stress_vectors = st.integers(1, 24).flatmap(
+    lambda n: st.one_of(
+        arrays(np.float64, n, elements=_grid),
+        arrays(np.float64, n, elements=st.one_of(_grid, _extreme)),
+        arrays(np.float64, n, elements=st.one_of(_grid, _extreme, entries, _wide)),
+    )
+)
+
+
+def _outcome(fit, *args):
+    """What a fit reports, as comparable bytes, or the error it raised."""
+    try:
+        out = fit(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+    if not isinstance(out, tuple):
+        out = (out.fitted, out.sse) + ((out.mode,) if out.mode is not None else ())
+    return (out[0].tobytes(),) + out[1:]
+
+
+class TestAgainstReference:
+    """Every fit read back from the one sweep equals, to the bit, the
+    separate merge loops it replaced (``tests/oracles.py``)."""
+
+    @given(_stress_vectors)
+    @settings(max_examples=400, deadline=None)
+    def test_vector_fits_are_bitwise_equal(self, y):
+        assert _outcome(isotonic_fit, y) == _outcome(isotonic_fit_reference, y)
+        assert _outcome(antitonic_fit, y) == _outcome(antitonic_fit_reference, y)
+        assert _outcome(unimodal_fit, y) == _outcome(unimodal_fit_reference, y)
+        for l in range(1, y.size + 1):
+            assert _outcome(fixed_mode_fit, y, l) == _outcome(fixed_mode_fit_reference, y, l)
+        assert (
+            prefix_isotonic_errors(y).tobytes()
+            == prefix_isotonic_errors_reference(y).tobytes()
+        )
+
+    @given(_stress_vectors)
+    @settings(max_examples=200, deadline=None)
+    def test_unimodal_columns_are_bitwise_equal(self, y):
+        a = np.column_stack([y, y[::-1], np.sort(y)])
+        try:
+            expected = np.column_stack(
+                [unimodal_fit_reference(np.ascontiguousarray(c))[0] for c in a.T]
+            )
+        except ValueError:
+            with pytest.raises(ValueError, match="overflow"):
+                project_columns(a, UNIMODAL)
+        else:
+            assert project_columns(a, UNIMODAL).tobytes() == expected.tobytes()
 
 
 class TestDykstra:
