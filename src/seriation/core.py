@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -285,9 +286,30 @@ def write_permutation(p: Permutation, path) -> None:
             f.write(f"{int(v)}\n")
 
 
+# an optionally signed run of ASCII digits: int() alone also takes '1_0',
+# other scripts' digits and numbers past int64
+_DECIMAL = re.compile(r"[+-]?[0-9]{1,19}")
+
+
 def read_permutation(path) -> Permutation:
+    """Read a permutation: whitespace-separated decimal integers, written
+    one per line. Every rejection raises ``ValueError`` naming the path; an
+    entry that is no int64 decimal also names its 1-based line."""
+    vals = []
     with open(path, "r") as f:
-        vals = [int(line) for line in f.read().split()]
+        try:
+            for lineno, line in enumerate(f, start=1):
+                for tok in line.split():
+                    v = int(tok) if _DECIMAL.fullmatch(tok) else None
+                    if v is None or not -2**63 <= v < 2**63:
+                        raise ValueError(f"{path}: bad entry at line {lineno}: {tok!r} "
+                                         "is not a 64-bit decimal integer")
+                    vals.append(v)
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
     if not vals:
         raise ValueError(f"{path}: empty permutation file")
-    return Permutation(np.array(vals, dtype=np.int64))
+    try:
+        return Permutation(np.array(vals, dtype=np.int64))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -2,10 +2,12 @@
 observation.
 
 Every estimator returns a :class:`FitResult` whose fitted observation
-``m_hat`` is exactly ``permute_rows(p_hat, a_hat)`` and whose ``sse`` is
-computed by the one shared code path ``frobenius_sq_dist(y, m_hat)``, so SSE
-values of different estimators on the same data are directly comparable
-floats.
+``m_hat`` is exactly ``permute_rows(p_hat, a_hat)`` and whose ``sse`` is the
+float ``frobenius_sq_dist(y, m_hat)``, so SSE values of different estimators
+on the same data are directly comparable floats. Neither ``m_hat`` nor the
+row-ordered observation is ever stored: the fits project the columns of
+``y`` through the row order, and the SSE pairs each row of ``a_hat`` with
+the observation row it explains.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .core import (
     _sq_dist,
     check_matrix,
     check_nonnegative,
-    frobenius_sq_dist,
     inverse,
 )
 from .metrics import _gap_scores
@@ -43,17 +44,21 @@ class FitResult:
     """One estimate of the permutation/matrix pair.
 
     ``p_hat`` maps shape-space rows to observation rows (row ``k`` of
-    ``a_hat`` explains row ``p_hat.mapping[k]`` of the observation), so
-    ``m_hat = permute_rows(p_hat, a_hat)`` lives next to the data.
+    ``a_hat`` explains row ``p_hat.mapping[k]`` of the observation).
     ``scores`` carries the per-row dominance counts for the score-based
     estimator, None elsewhere.
     """
 
     p_hat: Permutation
     a_hat: np.ndarray
-    m_hat: np.ndarray
     sse: float
     scores: np.ndarray | None = None
+
+    @property
+    def m_hat(self) -> np.ndarray:
+        """The fitted observation ``permute_rows(p_hat, a_hat)``, which lives
+        next to the data; a new n x m matrix on every access."""
+        return _permute_rows(self.p_hat, self.a_hat)
 
 
 @dataclass(frozen=True)
@@ -93,15 +98,11 @@ def _ordered_fit(y: np.ndarray, order: np.ndarray, shape: ShapeSpec,
     resulting permutation sends shaped row k back to observation row
     order[k]. ``y`` must be validated already: nothing here scans it."""
     p_hat = Permutation(np.asarray(order, dtype=np.int64))
-    a_hat = _project_columns(y[p_hat.mapping], shape)
-    m_hat = _permute_rows(p_hat, a_hat)
-    return FitResult(
-        p_hat=p_hat,
-        a_hat=a_hat,
-        m_hat=m_hat,
-        sse=frobenius_sq_dist(y, m_hat),
-        scores=scores,
-    )
+    a_hat = _project_columns(y, shape, p_hat.mapping)
+    # row k of a_hat fits row order[k] of y: the row pairs of
+    # frobenius_sq_dist(y, m_hat), so the same float
+    sse = _sq_dist(y, a_hat, ia=p_hat.mapping)
+    return FitResult(p_hat=p_hat, a_hat=a_hat, sse=sse, scores=scores)
 
 
 def rank_score(y, cfg: EstimatorConfig) -> FitResult:
@@ -178,11 +179,7 @@ def averaging_fit(y) -> FitResult:
     y = check_matrix(y)
     n = y.shape[0]
     a_hat = np.tile(y.mean(axis=0), (n, 1))
-    p_hat = Permutation.identity(n)
-    m_hat = _permute_rows(p_hat, a_hat)
-    return FitResult(
-        p_hat=p_hat, a_hat=a_hat, m_hat=m_hat, sse=frobenius_sq_dist(y, m_hat)
-    )
+    return FitResult(p_hat=Permutation.identity(n), a_hat=a_hat, sse=_sq_dist(y, a_hat))
 
 
 def fit(method: str, y, cfg: EstimatorConfig,
@@ -230,9 +227,10 @@ def estimation_losses(fit: FitResult, p_true: Permutation, a_true) -> LossBreakd
     ``permute_rows(p_true, a_true)``; ``perm_only`` applies the estimated
     permutation to the true matrix instead; ``matrix_only`` compares the
     shaped estimates directly. Each is the sorted sum of
-    :func:`~seriation.core.frobenius_sq_dist`, but the permuted matrices are
-    never formed: rows are gathered through the inverse permutations in
-    cache-sized blocks, so scratch is O(block + n), not O(n m).
+    :func:`~seriation.core.frobenius_sq_dist`, but the permuted matrices,
+    ``m_hat`` among them, are never formed: rows are gathered through the
+    inverse permutations in cache-sized blocks, so scratch is O(block + n),
+    not O(n m).
     """
     a_true = check_matrix(a_true, "a_true")
     if fit.a_hat.shape != a_true.shape:
@@ -242,8 +240,9 @@ def estimation_losses(fit: FitResult, p_true: Permutation, a_true) -> LossBreakd
         raise ValueError(f"permutation length {p_true.n} does not match row count {n}")
     # row r of permute_rows(p, a_true) is row inverse(p).mapping[r] of a_true
     true_rows = inverse(p_true).mapping
+    fit_rows = inverse(fit.p_hat).mapping
     return LossBreakdown(
-        total=_sq_dist(fit.m_hat, a_true, ib=true_rows) / (n * m),
-        perm_only=_sq_dist(a_true, a_true, inverse(fit.p_hat).mapping, true_rows) / (n * m),
+        total=_sq_dist(fit.a_hat, a_true, fit_rows, true_rows) / (n * m),
+        perm_only=_sq_dist(a_true, a_true, fit_rows, true_rows) / (n * m),
         matrix_only=_sq_dist(fit.a_hat, a_true) / (n * m),
     )

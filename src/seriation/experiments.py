@@ -196,8 +196,8 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list[Experime
                 times[meth] += (time.perf_counter() - t0) * 1e3
                 losses = estimation_losses(result, p_true, truth)
                 sums[meth] += (losses.total, losses.perm_only, losses.matrix_only)
-                # drop each fit and instance before the next is made, so
-                # that two are never held at once
+                # drop each fit and instance before the next is made: the
+                # peak is one instance (truth, y) and one fit's a_hat
                 del result
             del truth, y
         for meth in cfg.methods:

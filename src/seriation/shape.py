@@ -170,6 +170,12 @@ def fixed_mode_fit(y, l: int) -> VectorFit:
     minimized by a single descending scan over block values.
     """
     y = check_vector(y)
+    fitted = _fixed_mode_fill(y, l)
+    return VectorFit(fitted=fitted, sse=_sse(fitted, y), mode=int(l))
+
+
+def _fixed_mode_fill(y: np.ndarray, l: int) -> np.ndarray:
+    """The fitted vector of :func:`fixed_mode_fit` for a validated ``y``."""
     n = y.size
     l = int(l)
     if not 1 <= l <= n:
@@ -181,8 +187,6 @@ def fixed_mode_fit(y, l: int) -> VectorFit:
 
     fitted = np.empty(n)
     blocks = []
-    # a block sum past the float64 range makes t, and so the error, non-finite
-    # once the scan reaches it, and _sse raises
     with np.errstate(over="ignore", invalid="ignore"):
         for v, start, end in inc + dec:
             fitted[start:end] = v
@@ -196,13 +200,16 @@ def fixed_mode_fit(y, l: int) -> VectorFit:
     for bval, bsum, bcount in blocks:
         if t >= bval:
             break
-        count += bcount
         total += bsum
-        t = total / count
+        if math.isfinite(total):
+            t = total / (count + bcount)
+        else:  # a sum past the float64 range: pool the peak as a weighted mean
+            t = t * (count / (count + bcount)) + bval * (bcount / (count + bcount))
+        count += bcount
 
     fitted[l - 1] = t
     np.minimum(fitted, t, out=fitted)
-    return VectorFit(fitted=fitted, sse=_sse(fitted, y), mode=l)
+    return fitted
 
 
 def prefix_isotonic_errors(y) -> np.ndarray:
@@ -257,21 +264,45 @@ def project_columns(a, shape: ShapeSpec) -> np.ndarray:
     return out
 
 
-def _project_columns(a: np.ndarray, shape: ShapeSpec) -> np.ndarray:
-    """:func:`project_columns` for a validated matrix."""
-    out = np.empty_like(a)
+# Column projections fit panels of about this many bytes of columns at a
+# time: wide enough that the row gather streams (16 columns at 4096 rows).
+# A fit's scratch is two panels, the gathered columns and their transposed
+# copy; at 512 x 512 that is half a matrix.
+_PANEL_BYTES = 1 << 19
+
+
+def _project_columns(a: np.ndarray, shape: ShapeSpec, rows=None) -> np.ndarray:
+    """:func:`project_columns` of ``a[rows]`` (all of ``a`` when ``rows`` is
+    None) for a validated matrix, without forming ``a[rows]``: each panel of
+    columns is gathered into a transposed copy, one column per contiguous
+    row, fitted row by row and written back."""
+    n = a.shape[0] if rows is None else rows.size
+    m = a.shape[1]
+    if rows is None:
+        rows = slice(None)
     if shape.kind == "monotone":
         # scipy.optimize takes most of a cold start, and only this branch
         # needs it: load it at the first monotone fit, not at import
         from scipy.optimize import isotonic_regression
 
-        for j in range(a.shape[1]):
-            out[:, j] = isotonic_regression(a[:, j]).x
+        def fit(y):
+            return isotonic_regression(y).x
+    elif shape.kind == "unimodal":
+        def fit(y):
+            return unimodal_fit(y).fitted
     else:
-        for j in range(a.shape[1]):
-            y = a[:, j]
-            fit = unimodal_fit(y) if shape.kind == "unimodal" else fixed_mode_fit(y, shape.mode)
-            out[:, j] = fit.fitted
+        def fit(y):
+            return _fixed_mode_fill(y, shape.mode)
+    out = np.empty((n, m))
+    width = min(m, max(1, _PANEL_BYTES // (8 * n)))
+    # the fits write into this buffer, never into ``a``
+    buf = np.empty((width, n))
+    for j0 in range(0, m, width):
+        panel = buf[:min(width, m - j0)]
+        panel[:] = a[rows, j0:j0 + width].T
+        for y in panel:
+            y[:] = fit(y)
+        out[:, j0:j0 + width] = panel.T
     return out
 
 

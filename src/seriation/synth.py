@@ -77,14 +77,16 @@ def draw_truth(family: str, n: int, m: int, rng: np.random.Generator,
     elif family == "triangular":
         a = (np.arange(n)[:, None] >= np.arange(m)[None, :]).astype(np.float64)
     elif family == "random-v-bounded":
-        a = np.sort(rng.uniform(size=(n, m)), axis=0)
+        a = rng.uniform(size=(n, m))
+        a.sort(axis=0)
     elif family == "random-k-blocks":
         if blocks > n:
             raise ValueError(f"blocks ({blocks}) must not exceed n ({n})")
         q, r = divmod(n, blocks)
         sizes = np.full(blocks, q, dtype=np.int64)
         sizes[:r] += 1  # remainder spread over the first blocks
-        vals = np.sort(rng.uniform(size=(blocks, m)), axis=0)
+        vals = rng.uniform(size=(blocks, m))
+        vals.sort(axis=0)
         a = np.repeat(vals, sizes, axis=0)
     else:
         if not path:

@@ -1,11 +1,16 @@
 """Slow reference computations the test suite measures the package against.
 
-They share no code with the fits they check.
+They share no code with the fits they check, save the column-projection
+reference, which calls the package's vector fits (checked on their own by
+the references below them) one column at a time.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import isotonic_regression
+
+from seriation.shape import fixed_mode_fit, unimodal_fit
 
 
 def _isotonic_fitter(k: int, b: int):
@@ -316,3 +321,18 @@ def unimodal_fit_reference(y):
     else:
         mode = best_split + 1
     return fitted, _sse_reference(fitted, y), mode
+
+
+def project_columns_reference(a, shape) -> np.ndarray:
+    """Column projection as one loop over the columns of ``a``: scipy's PAVA
+    for the monotone cone, the package's vector fits otherwise."""
+    out = np.empty_like(a)
+    for j in range(a.shape[1]):
+        y = a[:, j]
+        if shape.kind == "monotone":
+            out[:, j] = isotonic_regression(y).x
+        elif shape.kind == "unimodal":
+            out[:, j] = unimodal_fit(y).fitted
+        else:
+            out[:, j] = fixed_mode_fit(y, shape.mode).fitted
+    return out

@@ -54,7 +54,7 @@ def csv_text(draw, n, m):
 @st.composite
 def permutation_text(draw, n):
     p = draw(mostly(st.permutations(range(n)), st.sampled_from(
-        [[0] * n, list(range(n + 1)), ["x"], [-1], [1.5], []])))
+        [[0] * n, list(range(n + 1)), ["x"], [-1], [1.5], [], [2**63], ["1_0"], ["\u0661"]])))
     return "".join(f"{v}\n" for v in p)
 
 

@@ -250,6 +250,21 @@ class TestTextFormats:
         assert read_permutation(path) == p
         assert path.read_text() == "2\n0\n1\n3\n"
 
+    @pytest.mark.parametrize("entry", ["99999999999999999999", str(2**63), "x", "1.5",
+                                       "1_0", "\u0661", "0x1"])
+    def test_bad_permutation_entry_names_path_and_line(self, tmp_path, entry):
+        # only ASCII decimal int64 entries; int() would take '1_0' and '١'
+        path = tmp_path / "p.txt"
+        path.write_text(f"0\n{entry}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: bad entry at line 2"):
+            read_permutation(path)
+
+    def test_permutation_not_a_bijection_names_the_path(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("0\n0\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*bijection"):
+            read_permutation(path)
+
 
 # Matrix CSV documents for the differential reader tests: values across
 # 1e-300..1e300 written as %.17g or repr, padded fields, blank and

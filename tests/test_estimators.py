@@ -266,6 +266,7 @@ class TestDispatch:
         for method, expect in direct.items():
             shaped = cfg if method in ("exhaustive", "oracle") else EstimatorConfig(tau=0.5)
             got = fit(method, y, shaped, p)
+            check_fit_invariants(got, y)
             assert got.p_hat == expect.p_hat
             assert np.array_equal(got.m_hat, expect.m_hat)
             assert got.sse == expect.sse
@@ -354,8 +355,9 @@ class TestLosses:
         p = Permutation.random(n, rng)
         y = permute_rows(p, truth) + rng.normal(size=(n, m))
         result = rank_sum(y)
+        m_hat = result.m_hat  # built on each access: outside the traced calls
         for call in (lambda: estimation_losses(result, p, truth),
-                     lambda: frobenius_sq_dist(result.m_hat, y)):
+                     lambda: frobenius_sq_dist(m_hat, y)):
             tracemalloc.start()
             try:
                 call()

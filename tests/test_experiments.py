@@ -33,9 +33,10 @@ def tiny_config(**overrides):
 
 class TestMemory:
     def test_peak_is_one_instance_and_one_fit(self):
-        # truth, observation, a_hat and m_hat are four n x m matrices (plus
-        # 0.5 MB of loss blocks); a second replication or method must not
-        # add to them
+        # truth, observation and a_hat are three n x m matrices (plus two
+        # 512 KB column panels, or 0.5 MB of loss blocks); neither the
+        # row-ordered observation nor m_hat is formed, and a second
+        # replication or method must not add to them
         n = 512
         cfg = tiny_config(methods=("rankscore", "ranksum", "oracle"), grid=((n, n),),
                           replications=2)
@@ -45,7 +46,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 8 * n * n
+        assert peak < 4 * 8 * n * n
 
 
 class TestConfig:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ from oracles import (
     fixed_mode_fit_reference,
     isotonic_fit_reference,
     prefix_isotonic_errors_reference,
+    project_columns_reference,
     unimodal_fit_reference,
 )
 
+from seriation import shape as shape_module
 from seriation.core import EPS, derive_rng
 from seriation.shape import (
     MONOTONE,
@@ -24,6 +28,8 @@ from seriation.shape import (
     isotonic_fit,
     prefix_isotonic_errors,
     project_columns,
+    _fixed_mode_fill,
+    _project_columns,
     satisfies,
     unimodal_fit,
 )
@@ -256,6 +262,38 @@ class TestProjectColumns:
             project_columns(a, MONOTONE)
         assert np.array_equal(project_columns(a, UNIMODAL), a)
 
+    def test_fixed_mode_peak_pools_past_the_float64_range(self):
+        # the peak pools with a block whose sum overflows: its value is the
+        # weighted mean 2/3 * 1e308, not inf; the vector fit still raises
+        # because its squared error (about 6.7e615) is not representable
+        y = np.array([0.0, 1e308, 1e308])
+        fitted = _fixed_mode_fill(y, 1)
+        assert np.all(np.isfinite(fitted))
+        assert fitted[0] == pytest.approx(2 / 3 * 1e308, rel=1e-15)
+        assert satisfies(fitted, fixed_mode(1))
+        with pytest.raises(ValueError, match="squared error of the fit overflows"):
+            fixed_mode_fit(y, 1)
+        assert np.array_equal(project_columns(y[:, None], fixed_mode(1))[:, 0], fitted)
+
+    # 1 x 1, 1 x m and n x 1 matrices; panels from one column to all of them
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.sampled_from([1, 2, 5, 17]), m=st.sampled_from([1, 2, 7, 12]),
+           data=st.data())
+    def test_panels_equal_the_column_loop(self, n, m, data):
+        a = data.draw(arrays(np.float64, (n, m), elements=st.one_of(_grid, entries)))
+        cone = data.draw(st.sampled_from(["monotone", "unimodal", "fixed-mode"]))
+        shape = fixed_mode(data.draw(st.integers(1, n))) if cone == "fixed-mode" \
+            else ShapeSpec(cone)
+        rows = data.draw(st.one_of(st.none(), st.permutations(range(n)).map(
+            lambda p: np.array(p, dtype=np.int64))))
+        width = data.draw(st.integers(1, m))
+        before = a.copy()
+        with mock.patch.object(shape_module, "_PANEL_BYTES", 8 * n * width):
+            got = _project_columns(a, shape, rows)
+        expected = project_columns_reference(a if rows is None else a[rows], shape)
+        assert got.tobytes() == expected.tobytes()
+        assert a.tobytes() == before.tobytes()
+
 
 # Entries that stress the sweep: ties on a small-integer grid, pooled sums
 # that overflow near +-1e308, squares that underflow near 1e-300.
@@ -295,7 +333,15 @@ class TestAgainstReference:
         assert _outcome(antitonic_fit, y) == _outcome(antitonic_fit_reference, y)
         assert _outcome(unimodal_fit, y) == _outcome(unimodal_fit_reference, y)
         for l in range(1, y.size + 1):
-            assert _outcome(fixed_mode_fit, y, l) == _outcome(fixed_mode_fit_reference, y, l)
+            expected = _outcome(fixed_mode_fit_reference, y, l)
+            assert _outcome(fixed_mode_fit, y, l) == expected
+            if expected[0] == "ValueError":
+                # the fit itself is still a finite point of the cone: a peak
+                # sum that overflows pools as a weighted mean
+                fitted = _fixed_mode_fill(y, l)
+                assert np.all(np.isfinite(fitted))
+                with np.errstate(over="ignore"):  # a rise past the range is still a rise
+                    assert satisfies(fitted, fixed_mode(l))
         assert (
             prefix_isotonic_errors(y).tobytes()
             == prefix_isotonic_errors_reference(y).tobytes()
