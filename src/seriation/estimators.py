@@ -114,9 +114,11 @@ def rank_score(y, cfg: EstimatorConfig) -> FitResult:
     order). Only defined for the monotone cone.
 
     The scores come from :func:`~seriation.metrics.gap_scores`, an exact
-    count that never forms the gap matrix: O(n m log n + n^2 m / 64) word
-    operations and O(n^2 / 8) bytes of scratch. The column projection and
-    the fit add O(n m) time and memory.
+    count that never forms the gap matrix: O(n m) for the column spreads,
+    then O(c n log n + c n^2 / 64) word operations over the c columns whose
+    spread reaches 2 tau (the bitset work of each bounded by its longest
+    prefix), and O(n^2 / 8) bytes of scratch. The column projection and the
+    fit add O(n m) time and memory.
     """
     y = check_matrix(y)
     if cfg.shape.kind != "monotone":
@@ -230,7 +232,9 @@ def estimation_losses(fit: FitResult, p_true: Permutation, a_true) -> LossBreakd
     :func:`~seriation.core.frobenius_sq_dist`, but the permuted matrices,
     ``m_hat`` among them, are never formed: rows are gathered through the
     inverse permutations in cache-sized blocks, so scratch is O(block + n),
-    not O(n m).
+    not O(n m). When the two permutations agree (the oracle), one pass gives
+    all three: ``total`` sums the row pairs of ``matrix_only`` and
+    ``perm_only`` is 0.0.
     """
     a_true = check_matrix(a_true, "a_true")
     if fit.a_hat.shape != a_true.shape:
@@ -238,6 +242,11 @@ def estimation_losses(fit: FitResult, p_true: Permutation, a_true) -> LossBreakd
     n, m = a_true.shape
     if p_true.n != n:
         raise ValueError(f"permutation length {p_true.n} does not match row count {n}")
+    if np.array_equal(fit.p_hat.mapping, p_true.mapping):
+        # total then pairs the same rows as matrix_only, and perm_only
+        # subtracts each row of a_true from itself
+        matrix_only = _sq_dist(fit.a_hat, a_true) / (n * m)
+        return LossBreakdown(total=matrix_only, perm_only=0.0, matrix_only=matrix_only)
     # row r of permute_rows(p, a_true) is row inverse(p).mapping[r] of a_true
     true_rows = inverse(p_true).mapping
     fit_rows = inverse(fit.p_hat).mapping

@@ -313,9 +313,18 @@ def gap_scores(a, threshold: float) -> np.ndarray:
     * Row ``i``'s hits are the OR over columns of packed ``uint64`` prefix
       bitsets, built per column by a cumulative OR over one-hot rows, and the
       score is their popcount.
+    * Rounding is monotone, so no term of column j exceeds
+      ``fl(max_j - min_j)``. A column, or the row-sum branch, whose spread is
+      below the threshold sets no bit and is skipped; a spread that
+      overflows reads inf and keeps its column.
 
-    Columns go in blocks of ``_SCORE_BLOCK``: O(n m log n + n^2 m / 64) word
-    operations and O(n * _SCORE_BLOCK + n^2 / 8) bytes of transient memory.
+    Columns go in blocks of ``_SCORE_BLOCK``. The spreads take O(n m). Each
+    of the c live columns then takes O(n log n) to sort and search and
+    O((k + n) n / 64) word operations for its bitsets, where k <= n is the
+    column's longest prefix: its prefix table is built up to row k only.
+    That is O(n m + c n log n + c n^2 / 64) in all, with c <= m + 1, and
+    O(n * _SCORE_BLOCK + n^2 / 8) bytes of transient memory.
+
     A row sum that overflows to inf makes some reference gaps NaN
     (``inf - inf``), which no union can express; such input is counted by
     the reference.
@@ -341,6 +350,14 @@ def _gap_scores(a: np.ndarray, threshold: float) -> np.ndarray:
 def _or_prefix_hits(cols, t: float, hits: np.ndarray) -> None:
     """OR into ``hits[i]`` the bitset ``{l : cols[j, i] - cols[j, l] >= t}``
     for every row ``j`` of the (c, n) block ``cols``."""
+    # no term of row j exceeds fl(max_j - min_j), so a row whose spread is
+    # below t sets no bit; an overflowing spread reads inf and stays
+    with np.errstate(over="ignore"):
+        live = cols.max(axis=1) - cols.min(axis=1) >= t
+    if not live.any():
+        return
+    if not live.all():
+        cols = cols[live]
     c, n = cols.shape
     order = np.argsort(cols, axis=1)
     ranked = np.take_along_axis(cols, order, axis=1).ravel()
@@ -357,17 +374,21 @@ def _or_prefix_hits(cols, t: float, hits: np.ndarray) -> None:
         inside &= cols - ranked.take(probe) >= t
         ends += step * inside
         step >>= 1
+    longest = ends.max(axis=1)
     word = order >> 6
     bit = np.left_shift(np.uint64(1), (order & 63).astype(np.uint64))
     below = np.arange(1, n + 1)
     prefix = np.empty((n + 1, hits.shape[1]), dtype=np.uint64)
     picked = np.empty_like(hits)
     for j in range(c):
-        # prefix[k] = bitset of the rows ranked[j, :k]
-        prefix.fill(0)
-        prefix[below, word[j]] = bit[j]
-        np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
-        np.take(prefix, ends[j], axis=0, out=picked)
+        # prefix[k] = bitset of the rows ranked[j, :k], needed up to the
+        # longest prefix k of this row
+        k = longest[j]
+        built = prefix[:k + 1]
+        built.fill(0)
+        built[below[:k], word[j, :k]] = bit[j, :k]
+        np.bitwise_or.accumulate(built, axis=0, out=built)
+        np.take(built, ends[j], axis=0, out=picked)
         hits |= picked
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import EPS, check_matrix, check_vector
 
 
@@ -313,8 +314,15 @@ def is_increasing(y, tol: float = EPS) -> bool:
 
 def has_monotone_columns(a, tol: float = EPS) -> bool:
     a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    # rows in blocks of about core._ROW_BLOCK_BYTES, each taking one row of
+    # the next block along, so the differences never fill a whole matrix
+    step = max(1, core._ROW_BLOCK_BYTES // max(1, a[:1].nbytes))
     with np.errstate(over="ignore"):  # a rise past the float64 range is inf, still a rise
-        return bool(np.all(np.diff(a, axis=0) >= -tol))
+        for s in range(0, n - 1, step):
+            if not np.all(np.diff(a[s:s + step + 1], axis=0) >= -tol):
+                return False
+    return True
 
 
 def satisfies(fitted: np.ndarray, shape: ShapeSpec, tol: float = EPS) -> bool:

@@ -138,6 +138,13 @@ def _moved_rows(mapping, a):
     return out
 
 
+def has_monotone_columns_reference(a, tol: float) -> bool:
+    """Whether every column of ``a`` rises by at least ``-tol`` at each step,
+    from one whole-matrix ``np.diff``."""
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.diff(np.asarray(a, dtype=np.float64), axis=0) >= -tol))
+
+
 def estimation_losses_reference(fit, p_true, a_true) -> tuple[float, float, float]:
     """(total, perm_only, matrix_only) of a fit, with both permuted copies
     of the truth formed in full."""

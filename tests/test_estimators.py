@@ -345,6 +345,9 @@ class TestLosses:
         assert result.sse == frobenius_sq_dist_reference(y, result.m_hat)
         assert (losses.total, losses.perm_only, losses.matrix_only) == \
             estimation_losses_reference(result, p, truth)
+        if method == "oracle":  # p_hat is p: the one-pass branch
+            assert losses.perm_only == 0.0
+            assert losses.total == losses.matrix_only
 
     def test_scratch_is_less_than_one_matrix(self):
         # one 1024 x 1024 float64 matrix is 8 MiB; the losses and the

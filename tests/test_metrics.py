@@ -257,6 +257,49 @@ class TestGap:
         for t in (0.0, at, np.nextafter(at, np.inf), -at):
             assert np.array_equal(gap_scores(a, t), np.count_nonzero(g >= t, axis=0))
 
+    # most columns spread less than 1 and hold no gap of the thresholds
+    # below; a few carry steps of 8 or 16. Thresholds sit exactly at a
+    # column's or the row-sum branch's fl(max - min) and one ulp either side,
+    # so the spread filter must keep a column whose spread equals t
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([1, 2, 63, 64, 65, 129]),
+           m=st.sampled_from([1, 3, 64, 65]),
+           stepped=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1),
+           pick=st.integers(0, 2**32 - 1))
+    def test_gap_scores_with_dead_columns(self, n, m, stepped, seed, pick):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 4, size=(n, m)) * 0.25 + rng.uniform(0.0, 0.2, size=(n, m))
+        live = rng.choice(m, size=min(stepped, m), replace=False)
+        a[:, live] += rng.integers(0, 3, size=(n, live.size)) * 8.0
+        g = pairwise_gaps(a)
+        rowsum = a.sum(axis=1) / np.sqrt(m)
+        spreads = a.max(axis=0) - a.min(axis=0)
+        picked = [spreads[pick % m], rowsum.max() - rowsum.min(), *spreads[live]]
+        for s in picked:
+            for t in (s, np.nextafter(s, np.inf), np.nextafter(s, -np.inf)):
+                assert np.array_equal(gap_scores(a, t), np.count_nonzero(g >= t, axis=0))
+
+    # n across the 64-bit word boundary and blocks of one and three columns;
+    # a threshold above 0 stops every prefix short of n, and on the ranks
+    # the longest prefix is n - t: 63, 64 and 65 rows among them
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_gap_scores_short_prefixes(self, n, block, monkeypatch):
+        monkeypatch.setattr(metrics, "_SCORE_BLOCK", block)
+        rng = np.random.default_rng(n)
+        ranks = np.argsort(rng.random((7, n)), axis=1).T.astype(np.float64)
+        # one 10 per row and column: every row sum is 10 / sqrt(n), so the
+        # row-sum branch is dead at any threshold above 0
+        cases = [(ranks, t) for t in (1.0, n - 65.0, n - 64.0, n - 63.0, n - 2.0) if t > 0]
+        cases += [(10.0 * np.eye(n), t) for t in (1e-300, 10.0)]
+        for a, t in cases:
+            g = pairwise_gaps(a)
+            longest = max(np.count_nonzero(a[i, j] - a[:, j] >= t)
+                          for i in range(n) for j in range(a.shape[1]))
+            assert longest < n
+            assert np.array_equal(gap_scores(a, t), np.count_nonzero(g >= t, axis=0))
+
     def test_gap_scores_overflowing_row_sums(self):
         # equal infinite row sums make reference gaps NaN (inf - inf)
         a = np.array([[1e308, 1e308], [1e308, 1e308], [-1e308, 0.0]])

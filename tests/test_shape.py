@@ -9,12 +9,14 @@ from oracles import (
     antitonic_fit_reference,
     dykstra_cone_projection,
     fixed_mode_fit_reference,
+    has_monotone_columns_reference,
     isotonic_fit_reference,
     prefix_isotonic_errors_reference,
     project_columns_reference,
     unimodal_fit_reference,
 )
 
+from seriation import core
 from seriation import shape as shape_module
 from seriation.core import EPS, derive_rng
 from seriation.shape import (
@@ -24,6 +26,7 @@ from seriation.shape import (
     antitonic_fit,
     fixed_mode,
     fixed_mode_fit,
+    has_monotone_columns,
     is_increasing,
     isotonic_fit,
     prefix_isotonic_errors,
@@ -459,6 +462,36 @@ class TestConeProperties:
             for _ in range(200):
                 z = np.sort(rng.uniform(-10, 10, size=n))
                 assert fit.sse <= np.sum((z - y) ** 2) + 1e-9
+
+
+class TestHasMonotoneColumns:
+    # row blocks of one row, of a few rows and of the default size; sorted
+    # integer columns with ties, one entry pushed down by a drop that tol
+    # may or may not cover, and a column whose rise overflows to inf
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 64, 65, 129]),
+           m=st.sampled_from([1, 2, 7]),
+           tol=st.sampled_from([0.0, EPS, 0.5, 1.0]),
+           drop=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+           huge=st.booleans(),
+           block_bytes=st.sampled_from([1, 8 * 7 * 2, core._ROW_BLOCK_BYTES]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_match_the_whole_matrix_check(self, n, m, tol, drop, huge, block_bytes,
+                                                  seed):
+        rng = np.random.default_rng(seed)
+        a = np.sort(rng.integers(-3, 4, size=(n, m)), axis=0).astype(np.float64)
+        if huge:
+            a[:, rng.integers(m)] = np.where(np.arange(n) < n // 2, -1e308, 1e308)
+        a[rng.integers(n), rng.integers(m)] -= drop
+        with mock.patch.object(core, "_ROW_BLOCK_BYTES", block_bytes):
+            assert has_monotone_columns(a, tol) == has_monotone_columns_reference(a, tol)
+
+    def test_single_row_and_nan(self):
+        with mock.patch.object(core, "_ROW_BLOCK_BYTES", 1):
+            assert has_monotone_columns(np.array([[3.0, -1.0]]), tol=0.0)
+            assert not has_monotone_columns(np.array([[0.0], [1.0], [np.nan]]))
+            assert not has_monotone_columns(np.array([[0.0], [1.0], [0.5]]), tol=0.0)
+            assert has_monotone_columns(np.array([[0.0], [1.0], [0.5]]), tol=0.5)
 
 
 class TestShapeSpec:

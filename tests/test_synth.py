@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,19 @@ class TestTruthFamilies:
                 m = int(rng.integers(1, 6))
                 a = draw_truth(family, n, m, rng)
                 assert has_monotone_columns(a, tol=0.0), family
+
+    def test_draw_scratch_is_a_fraction_of_the_matrix(self):
+        # the result, check_matrix's bool mask (1/8 matrix) and one block of
+        # row differences for the monotone check: 1.14 matrices measured at
+        # 512^2, where one whole-matrix np.diff and its mask took 2.12
+        rng = derive_rng(0)
+        tracemalloc.start()
+        try:
+            a = draw_truth("random-v-bounded", 512, 512, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * a.nbytes
 
     def test_v_bounded_variation(self):
         a = gen_truth("random-v-bounded", 50, 8, seed=3)
