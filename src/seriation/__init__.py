@@ -9,7 +9,6 @@ Monte-Carlo experiment harness.
 from .core import (
     EPS,
     Permutation,
-    compose,
     derive_rng,
     frobenius_sq_dist,
     inverse,
@@ -52,7 +51,6 @@ from .metrics import (
     gap,
     gap_scores,
     min_adjacent_row_gap,
-    pair_score,
     pairwise_gaps,
     r_statistic,
     rearrangement_check,

@@ -80,11 +80,13 @@ def _add_estimate(sub):
     p = sub.add_parser("estimate", help="run one estimator on an observation CSV")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--shape", choices=("monotone", "unimodal"), default="monotone")
-    p.add_argument("--tau", type=float, default=None,
-                   help="score threshold (default 6 unless --tau-rule)")
-    p.add_argument("--tau-rule", action="store_true",
-                   help="derive tau as 3*sigma*sqrt((C+1)*log(n*m))")
-    p.add_argument("--tau-c", type=float, default=1.0, help="constant C for --tau-rule")
+    tau = p.add_mutually_exclusive_group()
+    tau.add_argument("--tau", type=float, default=None,
+                     help="score threshold (default 6 unless --tau-rule)")
+    tau.add_argument("--tau-rule", action="store_true",
+                     help="derive tau as 3*sigma*sqrt((C+1)*log(n*m))")
+    p.add_argument("--tau-c", type=float, default=None,
+                   help="constant C for --tau-rule (default 1)")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--in", dest="observation", required=True, help="observation CSV path")
     p.add_argument("--truth", help="true matrix CSV, enables loss reporting (needs --perm)")
@@ -96,9 +98,12 @@ def _add_estimate(sub):
 def _cmd_estimate(args) -> int:
     if args.truth and not args.perm:
         raise ValueError("--truth needs the true permutation (--perm) to score the fit")
+    if args.tau_c is not None and not args.tau_rule:
+        raise ValueError("--tau-c is the constant of --tau-rule, which was not given")
     shape = UNIMODAL if args.shape == "unimodal" else MONOTONE
     if args.tau_rule:
-        cfg = EstimatorConfig(shape=shape, sigma=args.sigma, tau_constant=args.tau_c)
+        cfg = EstimatorConfig(shape=shape, sigma=args.sigma,
+                              tau_constant=1.0 if args.tau_c is None else args.tau_c)
     else:
         cfg = EstimatorConfig(shape=shape, sigma=args.sigma,
                               tau=6.0 if args.tau is None else args.tau)
@@ -134,16 +139,19 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+# figure_configs keywords that --figure runs take from flags of the same name
+_PRESET_KEYS = ("n_min", "n_max", "n_points", "replications", "seed")
+
+
 def _add_experiment(sub):
     p = sub.add_parser("experiment", help="run a preset figure or a JSON-configured grid")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--figure", choices=experiments.FIGURES)
     group.add_argument("--config", help="JSON file mirroring ExperimentConfig fields")
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--n-points", type=int, default=None)
-    p.add_argument("--replications", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    # left unset, the preset's own values hold (10 replications, seed 0)
+    for key in _PRESET_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), type=int, default=None,
+                       help="--figure only")
     p.add_argument("--out", help="records CSV path (default figure-<name>.csv)")
     p.add_argument("--timing", action="store_true",
                    help="record real wall times (breaks byte-identical reruns)")
@@ -153,18 +161,15 @@ def _add_experiment(sub):
 
 
 def _cmd_experiment(args) -> int:
+    preset = {k: getattr(args, k) for k in _PRESET_KEYS if getattr(args, k) is not None}
     if args.figure:
-        records = experiments.run_figure(
-            args.figure,
-            timing=args.timing,
-            n_min=args.n_min,
-            n_max=args.n_max,
-            n_points=args.n_points,
-            replications=args.replications,
-            seed=args.seed,
-        )
+        records = experiments.run_figure(args.figure, timing=args.timing, **preset)
         out = args.out or f"figure-{args.figure}.csv"
     else:
+        if preset:
+            flags = ", ".join("--" + k.replace("_", "-") for k in preset)
+            raise ValueError(f"{flags} apply to --figure presets only; "
+                             "with --config, set these fields in the config file")
         with open(args.config) as f:
             raw = json.load(f)
         if not isinstance(raw, dict):

@@ -70,8 +70,8 @@ class Permutation:
     ``mapping[i]`` is the destination row of source row ``i``: applying the
     permutation to a matrix ``a`` yields ``out`` with ``out[mapping[i]] ==
     a[i]``. Note the inverse relationship to numpy fancy indexing:
-    ``apply(p, a) == a[inverse(p).mapping]`` and ``a[p.mapping] ==
-    apply(inverse(p), a)``.
+    ``permute_rows(p, a) == a[inverse(p).mapping]`` and ``a[p.mapping] ==
+    permute_rows(inverse(p), a)``.
     """
 
     mapping: np.ndarray = field()
@@ -101,9 +101,6 @@ class Permutation:
     def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
         return cls(rng.permutation(n).astype(np.int64))
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.mapping, np.arange(self.n)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(
             self.mapping, other.mapping
@@ -117,14 +114,6 @@ def inverse(p: Permutation) -> Permutation:
     inv = np.empty(p.n, dtype=np.int64)
     inv[p.mapping] = np.arange(p.n, dtype=np.int64)
     return Permutation(inv)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Composition acting as p after q: apply(compose(p, q), a) ==
-    apply(p, apply(q, a))."""
-    if p.n != q.n:
-        raise ValueError(f"permutation length mismatch: {p.n} vs {q.n}")
-    return Permutation(p.mapping[q.mapping])
 
 
 def permute_rows(p: Permutation, a: np.ndarray) -> np.ndarray:

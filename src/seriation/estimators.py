@@ -140,22 +140,21 @@ def rank_sum(y) -> FitResult:
     return _ordered_fit(y, order, MONOTONE)
 
 
-def exhaustive_ls(y, shape: ShapeSpec, max_rows: int = EXHAUSTIVE_ROW_CAP) -> FitResult:
+def exhaustive_ls(y, shape: ShapeSpec) -> FitResult:
     """Global least squares over all row orders: project every permuted copy
     of ``y`` onto the cone and keep the smallest SSE.
 
     Candidates are enumerated in lexicographic order of the permutation
     mapping and compared with strict less-than, so ties resolve to the
     lexicographically smallest mapping. Factorial in the number of rows;
-    refuses more than ``max_rows`` rows (raise the cap explicitly if you
-    really mean it).
+    refuses more than ``EXHAUSTIVE_ROW_CAP`` rows.
     """
     y = check_matrix(y)
     n = y.shape[0]
-    if n > max_rows:
+    if n > EXHAUSTIVE_ROW_CAP:
         raise ValueError(
             f"exhaustive search over {n}! row orders refused "
-            f"(cap is {max_rows} rows; pass max_rows={n} to override)"
+            f"(cap is {EXHAUSTIVE_ROW_CAP} rows)"
         )
     best: FitResult | None = None
     for order in itertools.permutations(range(n)):

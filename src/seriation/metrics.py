@@ -15,10 +15,12 @@ Three scalars summarize how hard a monotone matrix is to recover from noise:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import EPS, Permutation, check_matrix, frobenius_sq_dist, permute_rows
 from .shape import has_monotone_columns
 
@@ -57,13 +59,19 @@ def count_levels(a, quantize: float | None = None) -> tuple[int, np.ndarray]:
     Distinctness is exact equality of floats: inputs are constructed
     matrices, where ties are exact by construction. For externally loaded
     noisy data, ``quantize`` snaps values to multiples of the given width
-    before counting.
+    before counting; the width must be finite and > 0, and every
+    ``a / quantize`` must be finite.
     """
     a = check_matrix(a)
     if quantize is not None:
-        if quantize <= 0:
-            raise ValueError("quantize width must be positive")
-        a = np.round(a / quantize)
+        if not (math.isfinite(quantize) and quantize > 0):
+            raise ValueError(f"quantize width must be finite and > 0, got {quantize}")
+        with np.errstate(over="ignore"):
+            a = a / quantize
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"quantize width {quantize} is too small for these "
+                             "entries: a / quantize overflows float64")
+        a = np.round(a)
     per_column = np.array(
         [np.unique(a[:, j]).size for j in range(a.shape[1])], dtype=np.int64
     )
@@ -82,14 +90,6 @@ def variation(a) -> tuple[float, np.ndarray]:
     return v, per_column
 
 
-def pair_score(u, m: int) -> float:
-    """Sparsity/density score of one row difference: small when ``u`` is
-    nearly 1-sparse or nearly constant, at most sqrt(m); 0.0 when ``u`` is
-    zero."""
-    d = np.abs(np.asarray(u, dtype=np.float64))[None, :]
-    return float(_scores(d, m)[0]) if d.any() else 0.0
-
-
 def _scores(d: np.ndarray, m: int) -> np.ndarray:
     """``min(||u||^2/||u||_inf^2, m ||u||^2/||u||_1^2)`` of each row ``u``
     of ``d``, absolute differences with a non-zero entry each. The rows are
@@ -99,10 +99,6 @@ def _scores(d: np.ndarray, m: int) -> np.ndarray:
     sq = np.einsum("ij,ij->i", d, d)
     return np.minimum(sq, m * sq / d.sum(axis=1) ** 2)
 
-
-# r_statistic streams the rows below row i past it in tiles of about this
-# many bytes, so that the five passes over each tile stay in cache.
-_R_TILE_BYTES = 1 << 18
 
 # The scores of pairs (i, l), i < l, wait for row l's turn in a lower
 # triangle cut into chunks of at most this many bytes of scores. A single
@@ -143,7 +139,8 @@ def r_statistic(a) -> float:
     top-n selection in the order of one pass per row ``i`` over all ``l``,
     which makes the result equal to the per-row loop it replaced
     (``tests/oracles.py``). Cost: O(n^2 m / 2) entry operations, in tiles of
-    about ``_R_TILE_BYTES``, and about 9 n (n - 1) / 2 bytes of pending
+    about ``core._ROW_BLOCK_BYTES`` so that the five passes over each tile
+    stay in cache, and about 9 n (n - 1) / 2 bytes of pending
     scores and flags, held in chunks that are freed as their rows are used.
     """
     a = check_matrix(a)
@@ -162,7 +159,7 @@ def r_statistic(a) -> float:
         size = int(tri[r1] - tri[r0])
         chunks.append((r0, r1, np.empty(size), np.empty(size, dtype=bool)))
         r0 = r1
-    tile = max(1, _R_TILE_BYTES // (8 * m))
+    tile = max(1, core._ROW_BLOCK_BYTES // (8 * m))
     buf = np.empty((min(tile, n), m))
     sq, linf, l1 = np.empty(n), np.empty(n), np.empty(n)
     # row i's scores against every other row l, in l order, and whether
@@ -236,30 +233,17 @@ def complexity_report(a, quantize: float | None = None) -> ComplexityReport:
     )
 
 
-GAP_SCALES = ("raw", "sigma-sqrt-m")
-
-
-def gap(a, i: int, i2: int, scale: str = "raw", sigma: float | None = None) -> float:
+def gap(a, i: int, i2: int) -> float:
     """Row gap from row ``i`` up to row ``i2`` (0-based):
 
         max_j (a[i2, j] - a[i, j])  v  (1/sqrt(m)) sum_j (a[i2, j] - a[i, j])
-
-    With ``scale="sigma-sqrt-m"`` the value is divided by ``sigma*sqrt(m)``
-    to express it in noise units; ``sigma`` is required then.
     """
     a = check_matrix(a)
     n, m = a.shape
     if not (0 <= i < n and 0 <= i2 < n):
         raise ValueError(f"row index out of range for {n} rows: {i}, {i2}")
     d = a[i2] - a[i]
-    value = max(float(np.max(d)), float(np.sum(d)) / np.sqrt(m))
-    if scale == "raw":
-        return value
-    if scale == "sigma-sqrt-m":
-        if sigma is None or sigma <= 0:
-            raise ValueError("sigma must be positive for scale='sigma-sqrt-m'")
-        return value / (sigma * np.sqrt(m))
-    raise ValueError(f"unknown scale {scale!r}; expected one of {GAP_SCALES}")
+    return max(float(np.max(d)), float(np.sum(d)) / np.sqrt(m))
 
 
 def pairwise_gaps(a) -> np.ndarray:

@@ -10,7 +10,8 @@ import math
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from seriation.shape import fixed_mode_fit, unimodal_fit
+from seriation.core import EPS
+from seriation.shape import fixed_mode, fixed_mode_fit, unimodal_fit
 
 
 def _isotonic_fitter(k: int, b: int):
@@ -343,3 +344,20 @@ def project_columns_reference(a, shape) -> np.ndarray:
         else:
             out[:, j] = fixed_mode_fit(y, shape.mode).fitted
     return out
+
+
+def is_increasing(y, tol: float = EPS) -> bool:
+    y = np.asarray(y, dtype=np.float64)
+    return bool(np.all(np.diff(y) >= -tol))
+
+
+def satisfies(fitted: np.ndarray, shape, tol: float = EPS) -> bool:
+    """Check a vector against a shape constraint, allowing ``tol`` slack."""
+    if shape.kind == "monotone":
+        return is_increasing(fitted, tol)
+    if shape.kind == "fixed-mode":
+        l = shape.mode
+        return is_increasing(fitted[:l], tol) and is_increasing(fitted[l - 1:][::-1], tol)
+    return any(
+        satisfies(fitted, fixed_mode(l), tol) for l in range(1, fitted.size + 1)
+    )

@@ -107,6 +107,19 @@ class TestMetrics:
         _, out, _ = run_cli(capsys, "metrics", path, "--quantize", "1e-6")
         assert json.loads(out)["K"] == 2
 
+    @pytest.mark.parametrize("width, entry, message", [
+        ("nan", "1", "finite and > 0"), ("inf", "1", "finite and > 0"),
+        ("-1", "1", "finite and > 0"), ("0", "1", "finite and > 0"),
+        ("1e-310", "1", "overflow"), ("0.5", "1e308", "overflow"),
+    ])
+    def test_bad_quantize_is_error_code(self, tmp_path, capsys, width, entry, message):
+        path = tmp_path / "a.csv"
+        path.write_text(f"0,1\n{entry},2\n")
+        code, out, err = run_cli(capsys, "metrics", path, "--quantize", width)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: quantize width") and message in err
+
     def test_overflowing_variation_is_error_code(self, tmp_path, capsys):
         path = tmp_path / "a.csv"
         path.write_text("-1e308,-1e308\n1e308,1e308\n")
@@ -150,6 +163,28 @@ class TestEstimate:
                             "--sigma", 1.0)
         payload = json.loads(out)
         assert payload["tau"] == pytest.approx(3.0 * np.sqrt(2 * np.log(6 * 144)))
+        # C is 1 unless given
+        _, out, _ = run_cli(capsys, "estimate", "--method", "rankscore",
+                            "--in", obs, "--tau-rule", "--sigma", 1.0)
+        assert json.loads(out)["tau"] == payload["tau"]
+
+    def test_tau_and_tau_rule_are_exclusive(self, instance, capsys):
+        _, _, obs = instance
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(capsys, "estimate", "--method", "rankscore", "--in", obs,
+                    "--tau", 0.01, "--tau-rule")
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --tau-rule: not allowed with argument --tau" in err
+
+    def test_tau_c_needs_tau_rule(self, instance, capsys):
+        _, _, obs = instance
+        code, out, err = run_cli(capsys, "estimate", "--method", "rankscore", "--in", obs,
+                                 "--tau-c", 2.0)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tau-c") and "--tau-rule" in err
 
     def test_oracle_requires_perm(self, instance, capsys):
         _, _, obs = instance
@@ -303,6 +338,22 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "--config", cfg_path)
         assert code == 2
         assert "out" in err
+
+    @pytest.mark.parametrize("flags", [("--n-min", 4), ("--n-max", 99), ("--n-points", 2),
+                                       ("--replications", 5), ("--seed", 7),
+                                       ("--replications", 10, "--seed", 0)])
+    def test_config_rejects_preset_flags(self, tmp_path, capsys, flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"family": "random-v-bounded", "methods": ["oracle"],
+                                        "grid": [[4, 2]], "replications": 1}))
+        out = tmp_path / "r.csv"
+        code, stdout, err = run_cli(capsys, "experiment", "--config", cfg_path,
+                                    "--out", out, *flags)
+        assert code == 2
+        assert stdout == ""
+        named = ", ".join(str(f) for f in flags if str(f).startswith("--"))
+        assert err.startswith(f"error: {named} apply to --figure presets only")
+        assert not out.exists()
 
     def test_figure_preset_byte_identical(self, tmp_path, capsys):
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import r_statistic_reference
 
-from seriation import metrics
+from seriation import core, metrics
 from seriation.core import Permutation, derive_rng, frobenius_sq_dist, permute_rows
 from seriation.metrics import (
     complexity_report,
@@ -15,7 +15,6 @@ from seriation.metrics import (
     gap,
     gap_scores,
     min_adjacent_row_gap,
-    pair_score,
     pairwise_gaps,
     r_statistic,
     rearrangement_check,
@@ -56,8 +55,17 @@ class TestCountLevels:
         a = np.array([[1.0], [1.0 + 1e-12], [2.0]])
         assert count_levels(a)[0] == 3
         assert count_levels(a, quantize=1e-6)[0] == 2
-        with pytest.raises(ValueError):
-            count_levels(a, quantize=0.0)
+
+    @pytest.mark.parametrize("width", [np.nan, np.inf, -1.0, 0.0])
+    def test_quantize_width_must_be_finite_and_positive(self, width):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            count_levels(np.array([[0.0], [1.0]]), quantize=width)
+
+    # a width so small, or an entry so large, that a / quantize overflows
+    @pytest.mark.parametrize("entry, width", [(1.0, 1e-310), (1e308, 0.5)])
+    def test_quantize_quotient_must_be_finite(self, entry, width):
+        with pytest.raises(ValueError, match="overflow"):
+            count_levels(np.array([[0.0], [entry]]), quantize=width)
 
     def test_row_permutation_invariant(self):
         rng = derive_rng(2)
@@ -120,14 +128,19 @@ class TestRStatistic:
         assert 0.5 * np.sqrt(64) <= r <= np.sqrt(64)
 
     def test_pair_score_extremes(self):
-        assert pair_score(np.array([0.0, 2.0, 0.0]), 3) == pytest.approx(1.0)
-        assert pair_score(np.array([1.0, 1.0, 1.0]), 3) == pytest.approx(1.0)
-        assert pair_score(np.zeros(3), 3) == 0.0
+        # R of the rows 0 * u and |u| is the score of their one pair, through
+        # the same path as any pair, far ones included
+        def score(u):
+            return r_statistic(np.stack([0.0 * u, np.abs(u)]))
+
+        assert score(np.array([0.0, 2.0, 0.0])) == pytest.approx(1.0)
+        assert score(np.array([1.0, 1.0, 1.0])) == pytest.approx(1.0)
+        assert score(np.zeros(3)) == 0.0
         # the squares of these differences overflow and underflow float64
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert pair_score(np.array([1e200, 1e200]), 2) == 1.0
-            assert pair_score(np.array([1e-170, 0.0]), 2) == 1.0
+            assert score(np.array([1e200, 1e200])) == 1.0
+            assert score(np.array([1e-170, 0.0])) == 1.0
 
     def test_degenerate_all_rows_identical(self):
         a = np.full((4, 3), 1.0)
@@ -143,7 +156,7 @@ class TestRStatistic:
     @given(n=st.sampled_from([1, 2, 3, 17, 64, 129, 257]),
            m=st.sampled_from([1, 2, 7, 64, 256]),
            kind=st.sampled_from(["normal", "integers", "identical", "step-down"]),
-           tile_bytes=st.sampled_from([8, 24, 8 * 64, metrics._R_TILE_BYTES]),
+           tile_bytes=st.sampled_from([8, 24, 8 * 64, core._ROW_BLOCK_BYTES]),
            chunk_bytes=st.sampled_from([8, 80, 4096, metrics._R_CHUNK_BYTES]),
            seed=st.integers(0, 2**32 - 1))
     def test_r_statistic_matches_reference(self, n, m, kind, tile_bytes, chunk_bytes,
@@ -159,7 +172,7 @@ class TestRStatistic:
             if kind == "step-down":
                 a = a - 5e-10 * (rng.random((n, m)) < 0.3)
         assert has_monotone_columns(a)
-        with mock.patch.object(metrics, "_R_TILE_BYTES", tile_bytes), \
+        with mock.patch.object(core, "_ROW_BLOCK_BYTES", tile_bytes), \
                 mock.patch.object(metrics, "_R_CHUNK_BYTES", chunk_bytes):
             r = r_statistic(a)
         assert r == r_statistic_reference(a)
@@ -206,16 +219,6 @@ class TestGap:
         a = random_monotone(rng, 8, 3)
         for i in range(7):
             assert gap(a, i, i + 1) >= 0.0
-
-    def test_scaled_variant(self):
-        a = np.array([[0.0, 0.0], [3.0, 1.0]])
-        assert gap(a, 0, 1, scale="sigma-sqrt-m", sigma=2.0) == pytest.approx(
-            3.0 / (2.0 * np.sqrt(2))
-        )
-        with pytest.raises(ValueError):
-            gap(a, 0, 1, scale="sigma-sqrt-m")
-        with pytest.raises(ValueError):
-            gap(a, 0, 1, scale="nonsense")
 
     def test_row_out_of_range(self):
         with pytest.raises(ValueError):
