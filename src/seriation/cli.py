@@ -37,15 +37,23 @@ def _add_generate(sub):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="truth matrix CSV path")
     p.add_argument("--perm-out", help="also draw a random row permutation and write it here")
-    p.add_argument("--noise", choices=synth.NOISE_KINDS, default="gaussian")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--noise", choices=synth.NOISE_KINDS, default=None,
+                   help="noise of --obs-out (default gaussian)")
+    p.add_argument("--sigma", type=float, default=None,
+                   help="noise scale of --obs-out (default 1)")
     p.add_argument("--obs-out", help="write permuted truth + noise here (implies --perm-out semantics)")
     p.set_defaults(func=_cmd_generate)
 
 
 def _cmd_generate(args) -> int:
+    noise = "gaussian" if args.noise is None else args.noise
+    sigma = 1.0 if args.sigma is None else args.sigma
     # checked before anything is drawn or written, even if no noise is drawn
-    synth.check_noise(args.noise, args.sigma)
+    synth.check_noise(noise, sigma)
+    if not args.obs_out:
+        for flag, value in (("--noise", args.noise), ("--sigma", args.sigma)):
+            if value is not None:
+                raise ValueError(f"{flag} sets the noise of --obs-out, which was not given")
     truth = synth.gen_truth(args.family, args.n, args.m, seed=args.seed,
                             blocks=args.blocks, path=args.custom_path)
     write_matrix_csv(truth, args.out)
@@ -54,8 +62,9 @@ def _cmd_generate(args) -> int:
         if args.perm_out:
             write_permutation(p, args.perm_out)
         if args.obs_out:
-            noise = synth.gen_noise(args.noise, args.sigma, args.n, args.m, args.seed)
-            write_matrix_csv(synth.gen_observation(truth, p, noise), args.obs_out)
+            # the noise is not kept: the observation is built in its buffer
+            y = synth._observe(truth, p, synth.gen_noise(noise, sigma, args.n, args.m, args.seed))
+            write_matrix_csv(y, args.obs_out)
     return 0
 
 
@@ -87,7 +96,8 @@ def _add_estimate(sub):
                      help="derive tau as 3*sigma*sqrt((C+1)*log(n*m))")
     p.add_argument("--tau-c", type=float, default=None,
                    help="constant C for --tau-rule (default 1)")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, default=None,
+                   help="noise level for --tau-rule (default 1)")
     p.add_argument("--in", dest="observation", required=True, help="observation CSV path")
     p.add_argument("--truth", help="true matrix CSV, enables loss reporting (needs --perm)")
     p.add_argument("--perm", help="true permutation file (required for oracle and --truth)")
@@ -101,12 +111,21 @@ def _cmd_estimate(args) -> int:
     if args.tau_c is not None and not args.tau_rule:
         raise ValueError("--tau-c is the constant of --tau-rule, which was not given")
     shape = UNIMODAL if args.shape == "unimodal" else MONOTONE
+    sigma = 1.0 if args.sigma is None else args.sigma
     if args.tau_rule:
-        cfg = EstimatorConfig(shape=shape, sigma=args.sigma,
+        cfg = EstimatorConfig(shape=shape, sigma=sigma,
                               tau_constant=1.0 if args.tau_c is None else args.tau_c)
     else:
-        cfg = EstimatorConfig(shape=shape, sigma=args.sigma,
+        cfg = EstimatorConfig(shape=shape, sigma=sigma,
                               tau=6.0 if args.tau is None else args.tau)
+    # the values are checked above; a flag that would change nothing is an error
+    if args.method != "rankscore":
+        for flag, given in (("--tau", args.tau is not None), ("--tau-rule", args.tau_rule)):
+            if given:
+                raise ValueError(f"{flag} sets the score threshold of --method rankscore; "
+                                 f"{args.method} has none")
+    if args.sigma is not None and not args.tau_rule:
+        raise ValueError("--sigma is the noise level of --tau-rule, which was not given")
     y = read_matrix_csv(args.observation)
     n, m = y.shape
     p_true = read_permutation(args.perm) if args.perm else None

@@ -119,12 +119,17 @@ def inverse(p: Permutation) -> Permutation:
 def permute_rows(p: Permutation, a: np.ndarray) -> np.ndarray:
     """Matrix action of a permutation: row i of ``a`` goes to row
     ``p.mapping[i]`` of the result."""
+    return _permute_rows(p, _check_rows(p, a))
+
+
+def _check_rows(p: Permutation, a) -> np.ndarray:
+    """``check_matrix(a)``, which must have one row per entry of ``p``."""
     a = check_matrix(a)
     if p.n != a.shape[0]:
         raise ValueError(
             f"permutation length {p.n} does not match row count {a.shape[0]}"
         )
-    return _permute_rows(p, a)
+    return a
 
 
 def _permute_rows(p: Permutation, a: np.ndarray) -> np.ndarray:

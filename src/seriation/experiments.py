@@ -30,7 +30,7 @@ from .estimators import (
     estimation_losses,
     fit,
 )
-from .synth import FAMILIES, check_noise, draw_noise, draw_truth, gen_observation
+from .synth import FAMILIES, _observe, check_noise, draw_noise, draw_truth
 
 M_RULES = ("n^1/2", "n", "n^3/2")
 
@@ -187,9 +187,8 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list[Experime
             rng = derive_rng(cfg.seed, n, m, rep)
             truth = draw_truth(cfg.family, n, m, rng, blocks=cfg.blocks)
             p_true = Permutation.random(n, rng)
-            # the noise is a temporary: it is freed before the fits run
-            y = gen_observation(truth, p_true,
-                                draw_noise(cfg.noise_kind, cfg.sigma, n, m, rng))
+            # the observation is built in the noise buffer
+            y = _observe(truth, p_true, draw_noise(cfg.noise_kind, cfg.sigma, n, m, rng))
             for meth in cfg.methods:
                 t0 = time.perf_counter()
                 result = fit(meth, y, est, p_true)

@@ -247,8 +247,14 @@ def unimodal_fit(y) -> VectorFit:
 def project_columns(a, shape: ShapeSpec) -> np.ndarray:
     """Project every column of ``a`` onto the requested cone independently.
 
-    The monotone case dispatches to scipy's compiled PAVA column by column.
-    It computes the same projection as :func:`isotonic_fit` only up to
+    Columns are fitted in panels: a block of columns is copied to a
+    transposed buffer, one column per contiguous row, fitted in place and
+    written back. The monotone case runs scipy's compiled PAVA kernel
+    (``scipy.optimize._pava_pybind.pava``, the kernel behind
+    ``scipy.optimize.isotonic_regression``) on each row of the panel, with
+    the unit weights and block indices that ``isotonic_regression`` would
+    build, so each column equals ``isotonic_regression(column).x`` byte for
+    byte. That is the same projection as :func:`isotonic_fit` only up to
     rounding: the pooled means can differ in their last bits (on most
     random vectors), and the tests pin the agreement at ``atol=1e-12``.
     Raises ``ValueError`` when the projection is not representable:
@@ -260,45 +266,71 @@ def project_columns(a, shape: ShapeSpec) -> np.ndarray:
     return out
 
 
-# Column projections fit panels of about this many bytes of columns at a
-# time: wide enough that the row gather streams (16 columns at 4096 rows).
-# A fit's scratch is two panels, the gathered columns and their transposed
-# copy; at 512 x 512 that is half a matrix.
+# Column loops take panels of about this many bytes of columns at a time:
+# wide enough that the row gather streams (16 columns at 4096 rows). The
+# scratch of a row gather is two panels, the gathered columns and their
+# transposed copy, so a panel is also held to a sixteenth of the matrix, or
+# 64 KB if that is more: the scratch stays an eighth of a matrix of 1 MB or
+# more (at 512 x 512, panels of 32 columns), and a small matrix goes in one
+# panel.
 _PANEL_BYTES = 1 << 19
+
+
+def _column_panels(a: np.ndarray, rows=None):
+    """Yield ``(cols, panel)`` for each panel of columns of ``a[rows]`` (all
+    of ``a`` when ``rows`` is None), without forming ``a[rows]``: ``panel``
+    is a transposed copy of those columns, one column per contiguous row.
+    The panel buffer is reused, so a caller writes back what it needs
+    before taking the next panel; writing into ``a[:, cols]`` is safe."""
+    n = a.shape[0] if rows is None else rows.size
+    m = a.shape[1]
+    panel_bytes = min(_PANEL_BYTES, max(8 * n * m // 16, 1 << 16))
+    width = min(m, max(1, panel_bytes // (8 * n)))
+    buf = np.empty((width, n))
+    for j0 in range(0, m, width):
+        cols = slice(j0, min(j0 + width, m))
+        panel = buf[:cols.stop - j0]
+        if rows is None:
+            # tiles of 64 rows: transposing the strided slab in one copy is
+            # about half again slower. A contiguous copy of the slab first is
+            # as fast, but its temporaries left the heap 12 MB larger in the
+            # benchmark's cli-pipeline (glibc's dynamic mmap threshold)
+            for r0 in range(0, n, 64):
+                panel[:, r0:r0 + 64] = a[r0:r0 + 64, cols].T
+        else:
+            panel[:] = a[rows, cols].T  # the row gather is a contiguous copy
+        yield cols, panel
 
 
 def _project_columns(a: np.ndarray, shape: ShapeSpec, rows=None) -> np.ndarray:
     """:func:`project_columns` of ``a[rows]`` (all of ``a`` when ``rows`` is
-    None) for a validated matrix, without forming ``a[rows]``: each panel of
-    columns is gathered into a transposed copy, one column per contiguous
-    row, fitted row by row and written back."""
+    None) for a validated matrix, fitted in place panel by panel."""
     n = a.shape[0] if rows is None else rows.size
-    m = a.shape[1]
-    if rows is None:
-        rows = slice(None)
     if shape.kind == "monotone":
         # scipy.optimize takes most of a cold start, and only this branch
         # needs it: load it at the first monotone fit, not at import
-        from scipy.optimize import isotonic_regression
+        from scipy.optimize._pava_pybind import pava
+
+        # the inputs isotonic_regression hands the kernel, allocated once
+        w = np.empty(n)
+        r = np.empty(n + 1, dtype=np.intp)
 
         def fit(y):
-            return isotonic_regression(y).x
+            w.fill(1.0)
+            r.fill(-1)
+            pava(y, w, r)  # fits y in place
     elif shape.kind == "unimodal":
         def fit(y):
-            return unimodal_fit(y).fitted
+            y[:] = unimodal_fit(y).fitted
     else:
         def fit(y):
-            return _fixed_mode_fill(y, shape.mode)
-    out = np.empty((n, m))
-    width = min(m, max(1, _PANEL_BYTES // (8 * n)))
-    # the fits write into this buffer, never into ``a``
-    buf = np.empty((width, n))
-    for j0 in range(0, m, width):
-        panel = buf[:min(width, m - j0)]
-        panel[:] = a[rows, j0:j0 + width].T
+            y[:] = _fixed_mode_fill(y, shape.mode)
+    out = np.empty((n, a.shape[1]))
+    # the fits write into the panel buffer, never into ``a``
+    for cols, panel in _column_panels(a, rows):
         for y in panel:
-            y[:] = fit(y)
-        out[:, j0:j0 + width] = panel.T
+            fit(y)
+        out[:, cols] = panel.T
     return out
 
 

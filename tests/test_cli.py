@@ -78,6 +78,26 @@ class TestGenerate:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [("--noise", "none"), ("--sigma", 2),
+                                       ("--perm-out", "{dir}/p.txt", "--sigma", 2)],
+                             ids=["noise", "sigma", "sigma-with-perm-out"])
+    def test_noise_flags_need_obs_out(self, tmp_path, capsys, flags):
+        # without --obs-out no noise is drawn, so these flags would do nothing
+        code, out, err = run_cli(capsys, "generate", "--family", "triangular", "--n", 4,
+                                 "--m", 4, "--out", tmp_path / "a.csv",
+                                 *(str(f).replace("{dir}", str(tmp_path)) for f in flags))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flags[-2]}") and "--obs-out" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_sigma_is_error_code(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "generate", "--family", "triangular", "--n", 4,
+                               "--m", 4, "--out", tmp_path / "a.csv", "--sigma", "1e308",
+                               "--obs-out", tmp_path / "y.csv")
+        assert code == 2
+        assert err.startswith("error:") and "noise contains non-finite entries" in err
+
     def test_bad_family_exits_nonzero(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["generate", "--family", "nope", "--n", "2", "--m", "2",
@@ -255,6 +275,27 @@ class TestEstimate:
         assert out == ""
         assert err.startswith("error:") and "monotone" in err
 
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "rankscore"])
+    @pytest.mark.parametrize("flags", [("--tau", 0.5), ("--tau-rule",)],
+                             ids=["tau", "tau-rule"])
+    def test_threshold_flags_need_rankscore(self, instance, capsys, method, flags):
+        _, perm, obs = instance
+        code, out, err = run_cli(capsys, "estimate", "--method", method, "--in", obs,
+                                 "--perm", perm, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flags[0]}") and "rankscore" in err
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_sigma_needs_tau_rule(self, instance, capsys, method):
+        # sigma enters only the threshold rule
+        _, perm, obs = instance
+        code, out, err = run_cli(capsys, "estimate", "--method", method, "--in", obs,
+                                 "--perm", perm, "--sigma", 2)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --sigma") and "--tau-rule" in err
+
     def test_sigma_checked_for_every_method(self, instance, capsys):
         _, perm, obs = instance
         code, _, err = run_cli(capsys, "estimate", "--method", "oracle", "--in", obs,
@@ -268,7 +309,9 @@ class TestEstimate:
         run_cli(capsys, "generate", "--family", "random-v-bounded", "--n", 6, "--m", 5,
                 "--seed", 3, "--out", truth, "--perm-out", perm, "--sigma", 0.5,
                 "--obs-out", obs)
-        code, out, _ = run_cli(capsys, "estimate", "--method", method, "--tau", 0.5,
+        # only rankscore thresholds; the other methods reject --tau
+        tau = ("--tau", 0.5) if method == "rankscore" else ()
+        code, out, _ = run_cli(capsys, "estimate", "--method", method, *tau,
                                "--in", obs, "--perm", perm)
         assert code == 0
         payload = json.loads(out)

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import (
@@ -17,6 +17,7 @@ from oracles import (
     satisfies,
     unimodal_fit_reference,
 )
+from scipy.optimize import isotonic_regression
 
 from seriation import core
 from seriation import shape as shape_module
@@ -295,6 +296,39 @@ class TestProjectColumns:
         expected = project_columns_reference(a if rows is None else a[rows], shape)
         assert got.tobytes() == expected.tobytes()
         assert a.tobytes() == before.tobytes()
+
+    # The monotone branch calls scipy's private PAVA kernel without its
+    # wrapper. If a scipy release moves the kernel or changes what it
+    # expects, the columns stop matching the public isotonic_regression.
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 20), m=st.integers(1, 9), data=st.data())
+    @example(n=1, m=1, data=None)
+    @example(n=6, m=7, data=None)
+    def test_monotone_kernel_equals_isotonic_regression(self, n, m, data):
+        if data is None:  # ties in every column, panels of 3 columns
+            a = np.floor(derive_rng(n, m).uniform(0, 3, size=(n, m)))
+            rows, width = None, min(3, m)
+        else:
+            a = data.draw(arrays(np.float64, (n, m), elements=st.one_of(_grid, entries)))
+            rows = data.draw(st.one_of(st.none(), st.permutations(range(n)).map(
+                lambda p: np.array(p, dtype=np.int64))))
+            width = data.draw(st.integers(1, m))
+        b = a if rows is None else a[rows]
+        with mock.patch.object(shape_module, "_PANEL_BYTES", 8 * n * width):
+            got = _project_columns(a, MONOTONE, rows)
+            public = project_columns(b, MONOTONE)
+        for j in range(m):
+            want = isotonic_regression(b[:, j]).x.tobytes()
+            assert got[:, j].tobytes() == want
+            assert public[:, j].tobytes() == want
+
+    def test_monotone_kernel_at_the_default_panel_width(self):
+        # 512 rows: panels of 32 columns, and 70 is no multiple of 32
+        a = derive_rng(17).normal(size=(512, 70))
+        rows = derive_rng(18).permutation(512)
+        got = _project_columns(a, MONOTONE, rows)
+        for j in range(70):
+            assert got[:, j].tobytes() == isotonic_regression(a[rows, j]).x.tobytes()
 
 
 # Entries that stress the sweep: ties on a small-integer grid, pooled sums

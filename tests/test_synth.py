@@ -1,9 +1,13 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from seriation import core
+from seriation import shape as shape_module
 from seriation.core import Permutation, derive_rng, permute_rows, write_matrix_csv
+from seriation.experiments import ExperimentConfig, run_experiment
 from seriation.metrics import count_levels, r_statistic, variation
 from seriation.shape import has_monotone_columns
 from seriation.synth import (
@@ -15,6 +19,7 @@ from seriation.synth import (
     gen_observation,
     gen_permutation,
     gen_truth,
+    _observe,
 )
 
 
@@ -203,3 +208,65 @@ class TestObservation:
                 gen_observation(truth, Permutation.identity(4), noise)
         with pytest.raises(ValueError, match="non-finite"):
             gen_observation(truth, Permutation.identity(4), np.full((4, 2), np.nan))
+
+
+class TestLeanGeneration:
+    """The panel sort of ``random-v-bounded`` and the observation built in
+    the noise buffer keep the bytes of the plain whole-matrix forms."""
+
+    # 512 rows: panels of 32 columns; 70 and 300 are no multiples of it
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 40), (9, 1), (512, 70), (300, 512)])
+    def test_panel_sort_equals_np_sort(self, n, m):
+        want = np.sort(derive_rng(5).uniform(size=(n, m)), axis=0)
+        got = draw_truth("random-v-bounded", n, m, derive_rng(5))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    def test_panel_sort_across_patched_panel_edges(self, width):
+        n, m = 11, 7
+        want = np.sort(derive_rng(6).uniform(size=(n, m)), axis=0)
+        with mock.patch.object(shape_module, "_PANEL_BYTES", 8 * n * width):
+            got = draw_truth("random-v-bounded", n, m, derive_rng(6))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, sigma", [("gaussian", 0.7), ("gaussian", 0.0),
+                                             ("rademacher", 2.0), ("rademacher", 0.0),
+                                             ("none", 0.0), ("none", 1.0)])
+    def test_private_path_equals_gen_observation(self, kind, sigma):
+        n, m = 40, 6
+        rng = derive_rng(7)
+        truth = draw_truth("random-v-bounded", n, m, rng)
+        p = Permutation.random(n, rng)
+        noise = draw_noise(kind, sigma, n, m, rng)
+        kept = noise.copy()
+        public = gen_observation(truth, p, noise)
+        assert noise.tobytes() == kept.tobytes()  # the caller's noise is not written
+        assert public.tobytes() == (permute_rows(p, truth) + noise).tobytes()
+        # row blocks of 3 rows: 40 is no multiple of 3
+        with mock.patch.object(core, "_ROW_BLOCK_BYTES", 8 * m * 3):
+            private = _observe(truth, p, noise.copy())
+        assert private.tobytes() == public.tobytes()
+
+    def test_huge_sigma_is_rejected_by_the_experiment(self):
+        # N(0, 1e308) draws overflow to inf
+        cfg = ExperimentConfig(family="random-v-bounded", methods=("oracle",),
+                               grid=((64, 8),), replications=1, noise_kind="gaussian",
+                               sigma=1e308, seed=1)
+        with pytest.raises(ValueError, match="noise contains non-finite entries"):
+            run_experiment(cfg)
+
+    def test_draw_and_observation_scratch(self):
+        # the truth, the noise it is added into and one row block of the
+        # permuted truth: about 2.1 matrices at 512^2 (3.1 when the permuted
+        # truth was a whole matrix of its own)
+        n = 512
+        rng = derive_rng(0)
+        tracemalloc.start()
+        try:
+            truth = draw_truth("random-v-bounded", n, n, rng)
+            p = Permutation.random(n, rng)
+            y = _observe(truth, p, draw_noise("gaussian", 1.0, n, n, rng))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * y.nbytes
