@@ -108,15 +108,19 @@ def cli_calls(draw):
         argv = ["generate", "--family", family, "--n", str(n), "--m", str(m),
                 "--out", "{dir}/a.csv", "--blocks", str(draw(st.integers(0, 13))),
                 "--seed", draw(mostly(st.sampled_from(["0", "7"]),
-                                      st.sampled_from(["-1", str(2**64)]))),
-                "--noise", draw(st.sampled_from(NOISE_KINDS)), "--sigma", draw(NUMBERS)]
+                                      st.sampled_from(["-1", str(2**64)])))]
         if family == "custom" and draw(st.integers(0, 3)):
             # a sorted CSV is a monotone truth, unless a fault breaks it
             files["c.csv"] = draw(csv_text(max(n, 1), m)) if draw(st.booleans()) else \
                 "".join(",".join(str(i) for _ in range(m)) + "\n" for i in range(n))
             argv += ["--custom-path", "{dir}/c.csv"]
-        argv += draw(st.sampled_from([[], ["--perm-out", "{dir}/p.txt"],
-                                      ["--obs-out", "{dir}/y.csv"]]))
+        outputs = draw(st.sampled_from([[], ["--perm-out", "{dir}/p.txt"],
+                                        ["--obs-out", "{dir}/y.csv"]]))
+        argv += outputs
+        # the noise flags are an error without --obs-out
+        if draw(mostly(st.just(bool(outputs) and outputs[0] == "--obs-out"),
+                       st.just(not outputs or outputs[0] != "--obs-out"))):
+            argv += ["--noise", draw(st.sampled_from(NOISE_KINDS)), "--sigma", draw(NUMBERS)]
     elif command == "metrics":
         files["y.csv"] = draw(csv_text(draw(SIZES), draw(SIZES)))
         argv = ["metrics", "{dir}/y.csv"]
@@ -130,12 +134,19 @@ def cli_calls(draw):
         m = draw(SIZES)
         files["y.csv"] = draw(csv_text(n, m))
         argv = ["estimate", "--method", method, "--in", "{dir}/y.csv",
-                "--shape", draw(st.sampled_from(["monotone", "unimodal"])),
-                "--sigma", draw(NUMBERS)]
-        if draw(st.booleans()):
+                "--shape", draw(st.sampled_from(["monotone", "unimodal"]))]
+        # only rankscore has a threshold, and --sigma only enters --tau-rule;
+        # "both" is an argparse error
+        thresholds = st.sampled_from(["default", "tau", "rule"])
+        threshold = draw(mostly(thresholds, st.sampled_from(["tau", "rule", "both"]))
+                         if method == "rankscore" else
+                         mostly(st.just("default"), thresholds))
+        if threshold in ("tau", "both"):
             argv += ["--tau", draw(NUMBERS)]
-        if draw(st.booleans()):
+        if threshold in ("rule", "both"):
             argv += ["--tau-rule", "--tau-c", draw(NUMBERS)]
+        if draw(mostly(st.just(threshold == "rule"), st.just(threshold != "rule"))):
+            argv += ["--sigma", draw(NUMBERS)]
         if draw(mostly(st.just(method == "oracle"), st.booleans())):
             files["p.txt"] = draw(permutation_text(n))
             argv += ["--perm", "{dir}/p.txt"]

@@ -33,8 +33,8 @@ def tiny_config(**overrides):
 
 class TestMemory:
     def test_peak_is_one_instance_and_one_fit(self):
-        # truth, observation and a_hat are three n x m matrices (plus two
-        # 128 KB column panels, or 0.5 MB of loss blocks); neither the
+        # truth, observation and a_hat are three n x m matrices (plus a
+        # 128 KB column panel, or 0.5 MB of loss blocks); neither the
         # row-ordered observation nor m_hat is formed, and a second
         # replication or method must not add to them
         n = 512
