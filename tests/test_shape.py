@@ -322,10 +322,12 @@ class TestProjectColumns:
             assert got[:, j].tobytes() == want
             assert public[:, j].tobytes() == want
 
-    def test_monotone_kernel_at_the_default_panel_width(self):
-        # 512 rows: panels of 32 columns, and 70 is no multiple of 32
-        a = derive_rng(17).normal(size=(512, 70))
-        rows = derive_rng(18).permutation(512)
+    # 64 KB panels: 16 columns at 512 rows, 27 at 300 rows, where the last
+    # tile of 64 rows is partial; 70 is no multiple of either width
+    @pytest.mark.parametrize("n", [512, 300])
+    def test_monotone_kernel_at_the_default_panel_width(self, n):
+        a = derive_rng(17).normal(size=(n, 70))
+        rows = derive_rng(18).permutation(n)
         got = _project_columns(a, MONOTONE, rows)
         for j in range(70):
             assert got[:, j].tobytes() == isotonic_regression(a[rows, j]).x.tobytes()
