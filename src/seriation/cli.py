@@ -143,15 +143,10 @@ def _cmd_estimate(args) -> int:
     }
     if result.scores is not None:
         summary["scores"] = [int(s) for s in result.scores]
+    summary["losses"] = None
     if args.truth:
         losses = estimation_losses(result, p_true, read_matrix_csv(args.truth))
-        summary["losses"] = {
-            "total": losses.total,
-            "perm_only": losses.perm_only,
-            "matrix_only": losses.matrix_only,
-        }
-    else:
-        summary["losses"] = None
+        summary["losses"] = dataclasses.asdict(losses)  # total, perm_only, matrix_only
     print(json.dumps(summary, allow_nan=False))
     if args.fitted_out:
         write_matrix_csv(result.m_hat, args.fitted_out)

@@ -77,7 +77,12 @@ class Permutation:
     mapping: np.ndarray = field()
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.mapping, dtype=np.int64)
+        raw = np.asarray(self.mapping)
+        if raw.dtype.kind == "f":  # the cast must not change a value
+            with np.errstate(invalid="ignore"):  # NaN and huge floats fail the check
+                if np.any(raw.astype(np.int64) != raw):
+                    raise ValueError("permutation mapping entries must be integers")
+        m = np.ascontiguousarray(raw, dtype=np.int64)
         if m.ndim != 1 or m.size < 1:
             raise ValueError("permutation mapping must be a non-empty 1-D array")
         seen = np.zeros(m.size, dtype=bool)
@@ -177,6 +182,33 @@ def _sq_dist(a: np.ndarray, b: np.ndarray, ia=None, ib=None) -> float:
     if not math.isfinite(total):
         raise ValueError("squared distance is not finite (NaN/inf entries or overflow)")
     return total
+
+
+def _loss_terms(a_hat: np.ndarray, p_hat: Permutation, a_true: np.ndarray,
+                p_true: Permutation) -> tuple[float, float, float]:
+    """Unnormalised ``(total, perm, matrix)`` loss terms of ``(p_hat, a_hat)``
+    against ``(p_true, a_true)``: the squared distances of ``p_hat a_hat``,
+    ``p_hat a_true`` and ``a_hat`` to ``p_true a_true``, ``p_true a_true``
+    and ``a_true``. No permuted matrix is formed: row r of
+    ``permute_rows(p, a)`` is row ``inverse(p).mapping[r]`` of ``a``, which
+    :func:`_sq_dist` gathers. Equal permutations take one pass."""
+    if a_hat.shape != a_true.shape:
+        raise ValueError(f"shape mismatch: {a_hat.shape} vs {a_true.shape}")
+    n = a_true.shape[0]
+    for p in (p_true, p_hat):
+        if p.n != n:
+            raise ValueError(f"permutation length {p.n} does not match row count {n}")
+    if np.array_equal(p_hat.mapping, p_true.mapping):
+        matrix = _sq_dist(a_hat, a_true)
+        return matrix, 0.0, matrix
+    # inverse mappings, without building and validating two Permutations
+    hat_rows, true_rows = np.empty((2, n), dtype=np.int64)
+    hat_rows[p_hat.mapping] = true_rows[p_true.mapping] = np.arange(n)
+    return (
+        _sq_dist(a_hat, a_true, hat_rows, true_rows),
+        _sq_dist(a_true, a_true, hat_rows, true_rows),
+        _sq_dist(a_hat, a_true),
+    )
 
 
 def frobenius_sq_dist(a: np.ndarray, b: np.ndarray) -> float:

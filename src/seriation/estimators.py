@@ -20,11 +20,11 @@ import numpy as np
 
 from .core import (
     Permutation,
+    _loss_terms,
     _permute_rows,
     _sq_dist,
     check_matrix,
     check_nonnegative,
-    inverse,
 )
 from .metrics import _gap_scores
 from .shape import MONOTONE, ShapeSpec, _project_columns
@@ -109,9 +109,11 @@ def rank_score(y, cfg: EstimatorConfig) -> FitResult:
     """Order rows by how many other rows they dominate by at least twice the
     threshold, then project onto increasing columns.
 
-    Row ``i`` scores ``s_i = #{l : gap(Y, l, i) >= 2 tau}``; rows are sorted
-    by increasing score (stable, so ties keep their original relative
-    order). Only defined for the monotone cone.
+    Row ``i`` scores ``s_i = #{l : g(l, i) >= 2 tau}`` with the gap
+    ``g(l, i) = max_j (Y[i, j] - Y[l, j])  v  (r_i - r_l)``, where
+    ``r = Y.sum(axis=1) / sqrt(m)``; rows are sorted by increasing score
+    (stable, so ties keep their original relative order). Only defined for
+    the monotone cone.
 
     The scores come from :func:`~seriation.metrics.gap_scores`, an exact
     count that never forms the gap matrix: O(n m) for the column spreads,
@@ -227,30 +229,11 @@ def estimation_losses(fit: FitResult, p_true: Permutation, a_true) -> LossBreakd
     ``total`` compares the fitted observation to the true one,
     ``permute_rows(p_true, a_true)``; ``perm_only`` applies the estimated
     permutation to the true matrix instead; ``matrix_only`` compares the
-    shaped estimates directly. Each is the sorted sum of
-    :func:`~seriation.core.frobenius_sq_dist`, but the permuted matrices,
-    ``m_hat`` among them, are never formed: rows are gathered through the
-    inverse permutations in cache-sized blocks, so scratch is O(block + n),
-    not O(n m). When the two permutations agree (the oracle), one pass gives
-    all three: ``total`` sums the row pairs of ``matrix_only`` and
-    ``perm_only`` is 0.0.
+    shaped estimates directly. Each is the float of
+    :func:`~seriation.core.frobenius_sq_dist` over ``n m``, with O(block + n)
+    scratch (``core._loss_terms``); the oracle's ``perm_only`` is 0.0.
     """
     a_true = check_matrix(a_true, "a_true")
-    if fit.a_hat.shape != a_true.shape:
-        raise ValueError(f"shape mismatch: {fit.a_hat.shape} vs {a_true.shape}")
-    n, m = a_true.shape
-    if p_true.n != n:
-        raise ValueError(f"permutation length {p_true.n} does not match row count {n}")
-    if np.array_equal(fit.p_hat.mapping, p_true.mapping):
-        # total then pairs the same rows as matrix_only, and perm_only
-        # subtracts each row of a_true from itself
-        matrix_only = _sq_dist(fit.a_hat, a_true) / (n * m)
-        return LossBreakdown(total=matrix_only, perm_only=0.0, matrix_only=matrix_only)
-    # row r of permute_rows(p, a_true) is row inverse(p).mapping[r] of a_true
-    true_rows = inverse(p_true).mapping
-    fit_rows = inverse(fit.p_hat).mapping
-    return LossBreakdown(
-        total=_sq_dist(fit.a_hat, a_true, fit_rows, true_rows) / (n * m),
-        perm_only=_sq_dist(a_true, a_true, fit_rows, true_rows) / (n * m),
-        matrix_only=_sq_dist(fit.a_hat, a_true) / (n * m),
-    )
+    total, perm, matrix = _loss_terms(fit.a_hat, fit.p_hat, a_true, p_true)
+    nm = a_true.size
+    return LossBreakdown(total=total / nm, perm_only=perm / nm, matrix_only=matrix / nm)

@@ -131,13 +131,12 @@ class ExperimentConfig:
 
 
 def _apply_m_rule(rule: str, n: int) -> int:
+    """m for ``n`` rows under one of :data:`M_RULES`, checked by the config."""
     if rule == "n^1/2":
         return max(1, round(math.sqrt(n)))
     if rule == "n":
         return n
-    if rule == "n^3/2":
-        return max(1, round(n ** 1.5))
-    raise ValueError(f"unknown m rule {rule!r}")
+    return max(1, round(n ** 1.5))
 
 
 @dataclass(frozen=True)
@@ -273,20 +272,10 @@ def read_records_csv(path) -> list[ExperimentRecord]:
             line = line.strip()
             if not line:
                 continue
+            # the fields in CSV_HEADER order, which is the record's
             n, m, method, lt, lp, lm, l10, wt, seed = line.split(",")
-            records.append(
-                ExperimentRecord(
-                    n=int(n),
-                    m=int(m),
-                    method=method,
-                    loss_total=float(lt),
-                    loss_perm=float(lp),
-                    loss_matrix=float(lm),
-                    log10_loss_total=float(l10),
-                    wall_time_ms=float(wt),
-                    seed=int(seed),
-                )
-            )
+            records.append(ExperimentRecord(int(n), int(m), method, float(lt), float(lp),
+                                            float(lm), float(l10), float(wt), int(seed)))
     return records
 
 
@@ -361,7 +350,7 @@ def figure_configs(name: str, n_min: int | None = None, n_max: int | None = None
     return [
         ExperimentConfig(
             replications=replications, seed=seed, sigma=1.0, tau=6.0,
-            m_rule=rule, **{k: v for k, v in base.items() if k != "m_rule"},
+            m_rule=rule, **base,
         )
         for rule in rules
     ]

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import EPS, Permutation, check_matrix, frobenius_sq_dist, permute_rows
-from .shape import has_monotone_columns
+from .core import EPS, Permutation, check_matrix
+from .shape import _column_panels, has_monotone_columns
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,11 @@ def gap(a, i: int, i2: int) -> float:
 
 
 def pairwise_gaps(a) -> np.ndarray:
-    """All row gaps at once: ``out[l, i] = gap(a, l, i)``.
+    """All row gaps at once, ``out[l, i] = max_j (a[i, j] - a[l, j])  v
+    (rowsum[i] - rowsum[l])`` with ``rowsum = a.sum(axis=1) / sqrt(m)``:
+    :func:`gap` ``(a, l, i)`` where the column branch wins, and within a few
+    ulps of the row sums where the sum branch does (``gap`` divides the
+    summed difference instead).
 
     The O(n^2)-memory reference and diagnostic: two (n, n) float64 buffers
     (16 MB at n = 1024) and O(n^2 m) time, the columnwise max accumulated
@@ -266,17 +270,14 @@ def pairwise_gaps(a) -> np.ndarray:
     return out
 
 
-# Columns per pass of gap_scores. Its sort and search buffers are
-# (_SCORE_BLOCK, n); one pass over all columns at once costs tens of MB at
-# desk scale.
-_SCORE_BLOCK = 64
-
 # Number of set bits of each byte value.
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def gap_scores(a, threshold: float) -> np.ndarray:
-    """Per row ``i``, the number of rows ``l`` with ``gap(a, l, i) >= threshold``.
+    """Per row ``i``, the number of rows ``l`` whose gap up to row ``i``,
+    ``max_j (a[i, j] - a[l, j])  v  (rowsum[i] - rowsum[l])`` with
+    ``rowsum = a.sum(axis=1) / sqrt(m)``, is at least ``threshold``.
 
     Equals ``np.count_nonzero(pairwise_gaps(a) >= threshold, axis=0)`` on
     every finite input, without forming the gap matrix. The count is exact
@@ -302,12 +303,13 @@ def gap_scores(a, threshold: float) -> np.ndarray:
       below the threshold sets no bit and is skipped; a spread that
       overflows reads inf and keeps its column.
 
-    Columns go in blocks of ``_SCORE_BLOCK``. The spreads take O(n m). Each
-    of the c live columns then takes O(n log n) to sort and search and
-    O((k + n) n / 64) word operations for its bitsets, where k <= n is the
-    column's longest prefix: its prefix table is built up to row k only.
-    That is O(n m + c n log n + c n^2 / 64) in all, with c <= m + 1, and
-    O(n * _SCORE_BLOCK + n^2 / 8) bytes of transient memory.
+    Columns go in the panels of ``shape._column_panels``. The spreads take
+    O(n m). Each of the c live columns then takes O(n log n) to sort and
+    search and O((k + n) n / 64) word operations for its bitsets, where
+    k <= n is the column's longest prefix: its prefix table is built up to
+    row k only. That is O(n m + c n log n + c n^2 / 64) in all, with
+    c <= m + 1, and transient memory of a few panel-sized buffers (at most
+    ``shape._PANEL_BYTES`` each) and O(n^2 / 8) bytes of bitsets.
 
     A row sum that overflows to inf makes some reference gaps NaN
     (``inf - inf``), which no union can express; such input is counted by
@@ -325,9 +327,8 @@ def _gap_scores(a: np.ndarray, threshold: float) -> np.ndarray:
     words = (n + 63) // 64
     hits = np.zeros((n, words), dtype=np.uint64)
     _or_prefix_hits(rowsum[None, :], threshold, hits)
-    for j0 in range(0, m, _SCORE_BLOCK):
-        block = np.ascontiguousarray(a[:, j0:j0 + _SCORE_BLOCK].T)
-        _or_prefix_hits(block, threshold, hits)
+    for _, panel in _column_panels(a):
+        _or_prefix_hits(panel, threshold, hits)
     return _POPCOUNT8[hits.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
@@ -379,12 +380,16 @@ def _or_prefix_hits(cols, t: float, hits: np.ndarray) -> None:
 def min_adjacent_row_gap(a) -> float:
     """Smallest gap between consecutive rows. For a column-increasing matrix
     this equals the smallest gap over all ordered pairs, and it is positive
-    exactly when all rows are distinct."""
+    exactly when all rows are distinct. The float of the smallest
+    ``gap(a, i, i + 1)``, from one pass over the row differences."""
     a = check_matrix(a)
-    n = a.shape[0]
+    n, m = a.shape
     if n < 2:
         raise ValueError("need at least two rows")
-    return min(gap(a, i, i + 1) for i in range(n - 1))
+    d = np.diff(a, axis=0)
+    top, mean = d.max(axis=1), d.sum(axis=1) / np.sqrt(m)
+    gaps = np.where(mean > top, mean, top)  # gap's max(top, mean), ties to top
+    return float(gaps[np.argmin(gaps)])  # min's first smallest
 
 
 @dataclass(frozen=True)
@@ -414,14 +419,9 @@ def rearrangement_check(
     """
     a_true = check_matrix(a_true, "a_true")
     a_alt = check_matrix(a_alt, "a_alt")
-    if a_true.shape != a_alt.shape:
-        raise ValueError(f"shape mismatch: {a_true.shape} vs {a_alt.shape}")
     if not has_monotone_columns(a_true) or not has_monotone_columns(a_alt):
         raise ValueError("both matrices must have increasing columns")
-    target = permute_rows(p_true, a_true)
-    matrix_term = frobenius_sq_dist(a_alt, a_true)
-    perm_term = frobenius_sq_dist(permute_rows(p_alt, a_true), target)
-    total_term = frobenius_sq_dist(permute_rows(p_alt, a_alt), target)
+    total_term, perm_term, matrix_term = core._loss_terms(a_alt, p_alt, a_true, p_true)
     slack = EPS * (1.0 + total_term)
     ok = matrix_term <= total_term + slack and perm_term <= 4.0 * total_term + slack
     return RearrangementCheck(

@@ -83,6 +83,13 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(np.array([0, 1, 3]))
 
+    def test_fractional_entries_rejected(self):
+        for bad in ([1.5, 0.5], [0.0, 1.0000001], [np.nan, 0.0], [1e30, 0.0]):
+            with pytest.raises(ValueError, match="integers"):
+                Permutation(np.array(bad))
+        # integral floats are the integers they spell
+        assert Permutation(np.array([1.0, 0.0])) == Permutation(np.array([1, 0]))
+
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
         permutations_of(n), permutations_of(n),
         arrays(np.float64, (n, 2), elements=finite))))

@@ -13,6 +13,7 @@ from seriation.core import Permutation, derive_rng, frobenius_sq_dist, permute_r
 from seriation.estimators import (
     METHODS,
     EstimatorConfig,
+    FitResult,
     UnsupportedShapeError,
     averaging_fit,
     estimation_losses,
@@ -320,6 +321,15 @@ class TestLosses:
         fit = averaging_fit(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             estimation_losses(fit, Permutation.identity(3), np.zeros((3, 3)))
+
+    def test_wrong_length_fit_permutation(self):
+        # a p_hat shorter or longer than the truth is an error, not a loss
+        # over the rows it happens to name
+        truth = np.arange(10, dtype=np.float64).reshape(5, 2)
+        for p_hat in (Permutation(np.array([1, 0, 2])), Permutation.identity(6)):
+            result = FitResult(p_hat=p_hat, a_hat=np.zeros((5, 2)), sse=0.0)
+            with pytest.raises(ValueError, match="permutation length"):
+                estimation_losses(result, Permutation.identity(5), truth)
 
     # blocks of one row up to the default size; row counts around a block
     # boundary, odd widths, exponents from 1e-30 to 1e30 in one matrix

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import r_statistic_reference
 
-from seriation import core, metrics
+from seriation import core, metrics, shape
 from seriation.core import Permutation, derive_rng, frobenius_sq_dist, permute_rows
 from seriation.metrics import (
     complexity_report,
@@ -244,6 +244,32 @@ class TestGap:
             for i in range(9):
                 assert g[l, i] == pytest.approx(gap(a, l, i), abs=1e-12)
 
+    # pairwise_gaps subtracts pre-divided row sums where gap divides the
+    # summed difference: the column branch is the same float, so the two
+    # agree exactly where it wins in both, and elsewhere up to the rounding
+    # of two sums of m terms, a division and a subtraction
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 11), m=st.integers(1, 11),
+           scale=st.sampled_from([1.0, 1e-3, 1e6]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pairwise_gaps_relation_to_gap(self, n, m, scale, seed):
+        a = np.random.default_rng(seed).normal(size=(n, m)) * scale
+        g = pairwise_gaps(a)
+        rowsum = a.sum(axis=1) / np.sqrt(m)
+        eps = np.finfo(np.float64).eps
+        for l in range(n):
+            for i in range(n):
+                col = np.max(a[i] - a[l])
+                by_rows = rowsum[i] - rowsum[l]
+                by_diff = np.sum(a[i] - a[l]) / np.sqrt(m)
+                assert g[l, i] == max(col, by_rows)
+                assert gap(a, l, i) == max(col, by_diff)
+                if by_rows <= col and by_diff <= col:
+                    assert g[l, i] == gap(a, l, i)
+                else:
+                    size = (np.abs(a[i]).sum() + np.abs(a[l]).sum()) / np.sqrt(m)
+                    assert abs(g[l, i] - gap(a, l, i)) <= 2 * (m + 1) * eps * size
+
     # n around the 64-bit word boundary, m around the column-block size;
     # small integers times a scale give exact ties, and thresholds taken
     # from the gaps themselves put gaps exactly at t
@@ -289,7 +315,8 @@ class TestGap:
     @pytest.mark.parametrize("n", [63, 64, 65, 129])
     @pytest.mark.parametrize("block", [1, 3])
     def test_gap_scores_short_prefixes(self, n, block, monkeypatch):
-        monkeypatch.setattr(metrics, "_SCORE_BLOCK", block)
+        # panels of `block` columns of n rows
+        monkeypatch.setattr(shape, "_PANEL_BYTES", 8 * n * block)
         rng = np.random.default_rng(n)
         ranks = np.argsort(rng.random((7, n)), axis=1).T.astype(np.float64)
         # one 10 per row and column: every row sum is 10 / sqrt(n), so the
@@ -316,6 +343,25 @@ class TestGap:
         assert min_adjacent_row_gap(a) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             min_adjacent_row_gap(np.zeros((1, 2)))
+        # the column branch is -0.0 and numpy sums the row difference to 0.0:
+        # gap keeps the column branch on the tie, and so must the vector form
+        z = np.array([[0.0, 0.0], [-0.0, -0.0]])
+        assert np.signbit(gap(z, 0, 1)) and np.signbit(min_adjacent_row_gap(z))
+
+    # small integers give ties between the branches and between rows, and
+    # signed zeros; the result must be the scalar loop's float to the bit
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 12), m=st.integers(1, 12),
+           scale=st.sampled_from([1.0, 0.1, -0.0, 1e-300, 1e300]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_min_adjacent_row_gap_equals_scalar_loop(self, n, m, scale, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-2, 3, size=(n, m)) * scale
+        if seed % 2:
+            a = a + rng.normal(size=(n, m)) * abs(scale)
+        expected = min(gap(a, i, i + 1) for i in range(n - 1))
+        got = min_adjacent_row_gap(a)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestRearrangement:
@@ -357,14 +403,33 @@ class TestRearrangement:
         with pytest.raises(ValueError):
             rearrangement_check(good, bad, p, p)
 
-    def test_terms_match_direct_frobenius(self):
-        rng = derive_rng(10)
-        a = random_monotone(rng, 4, 2)
-        a2 = random_monotone(rng, 4, 2)
-        p = Permutation.random(4, rng)
-        p2 = Permutation.random(4, rng)
-        chk = rearrangement_check(a, a2, p, p2)
+    # blocks of one row up to the default size, and the one-pass branch of
+    # equal permutations; every term is the float of the formula that forms
+    # the permuted matrices
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 4, 63, 65]),
+           m=st.sampled_from([1, 2, 7, 33]),
+           same=st.booleans(),
+           block_bytes=st.sampled_from([8, 8 * 7, core._ROW_BLOCK_BYTES]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_terms_match_direct_frobenius(self, n, m, same, block_bytes, seed):
+        rng = np.random.default_rng(seed)
+        a = random_monotone(rng, n, m)
+        a2 = random_monotone(rng, n, m, scale=float(rng.uniform(0.5, 2.0)))
+        p = Permutation.random(n, rng)
+        p2 = p if same else Permutation.random(n, rng)
+        with mock.patch.object(core, "_ROW_BLOCK_BYTES", block_bytes):
+            chk = rearrangement_check(a, a2, p, p2)
+        target = permute_rows(p, a)
         assert chk.matrix_term == frobenius_sq_dist(a2, a)
-        assert chk.total_term == frobenius_sq_dist(
-            permute_rows(p2, a2), permute_rows(p, a)
-        )
+        assert chk.perm_term == frobenius_sq_dist(permute_rows(p2, a), target)
+        assert chk.total_term == frobenius_sq_dist(permute_rows(p2, a2), target)
+
+    def test_rejects_wrong_length_permutation(self):
+        a = np.array([[0.0], [1.0], [2.0]])
+        p = Permutation.identity(3)
+        for wrong in (Permutation.identity(2), Permutation(np.array([1, 0, 3, 2]))):
+            with pytest.raises(ValueError, match="permutation length"):
+                rearrangement_check(a, a, p, wrong)
+            with pytest.raises(ValueError, match="permutation length"):
+                rearrangement_check(a, a, wrong, p)
