@@ -170,13 +170,14 @@ def _add_experiment(sub):
     p.add_argument("--timing", action="store_true",
                    help="record real wall times (breaks byte-identical reruns)")
     p.add_argument("--slope", action="store_true",
-                   help="also print per-method log-log slope fits as JSON")
+                   help="also print a log-log slope fit per m-regime and method as JSON")
     p.set_defaults(func=_cmd_experiment)
 
 
 def _cmd_experiment(args) -> int:
     preset = {k: getattr(args, k) for k in _PRESET_KEYS if getattr(args, k) is not None}
     if args.figure:
+        configs = experiments.figure_configs(args.figure, **preset)
         records = experiments.run_figure(args.figure, timing=args.timing, **preset)
         out = args.out or f"figure-{args.figure}.csv"
     else:
@@ -199,6 +200,7 @@ def _cmd_experiment(args) -> int:
         if missing:
             raise ValueError(f"missing config fields {sorted(missing)}")
         cfg = experiments.ExperimentConfig(**raw)
+        configs = [cfg]
         records = experiments.run_experiment(cfg, timing=args.timing)
         out = args.out or cfg.out_path
         if not out:
@@ -206,19 +208,23 @@ def _cmd_experiment(args) -> int:
     experiments.emit_csv(records, out)
     print(f"wrote {len(records)} records to {out}", file=sys.stderr)
     if args.slope:
-        for method in dict.fromkeys(r.method for r in records):
-            subset = [r for r in records if r.method == method]
-            try:
-                fitres = experiments.fit_loglog_slope(subset)
-            except ValueError as e:
-                print(json.dumps({"method": method, "error": str(e)}))
-                continue
-            print(json.dumps({
-                "method": method,
-                "slope": fitres.slope,
-                "intercept": fitres.intercept,
-                "r_squared": fitres.r_squared,
-            }, allow_nan=False))
+        # one slope per (regime, method): each config's records come in one
+        # run, one per (cell, method)
+        start = 0
+        for cfg in configs:
+            end = start + len(cfg.resolved_grid()) * len(cfg.methods)
+            regime = "grid" if cfg.grid is not None else cfg.m_rule
+            for method in cfg.methods:
+                line = {"regime": regime, "method": method}
+                try:
+                    fitres = experiments.fit_loglog_slope(
+                        [r for r in records[start:end] if r.method == method])
+                except ValueError as e:
+                    print(json.dumps({**line, "error": str(e)}))
+                    continue
+                print(json.dumps({**line, "slope": fitres.slope, "intercept": fitres.intercept,
+                                  "r_squared": fitres.r_squared}, allow_nan=False))
+            start = end
     return 0
 
 

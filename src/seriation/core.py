@@ -63,6 +63,17 @@ def check_nonnegative(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
+def _check_integer(value, name: str) -> int:
+    """``value`` as an int. Raise ``ValueError`` unless it is an integral real
+    number: a float must have no fractional part, and a bool or a numeric
+    string is no number here."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value == math.floor(value))
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of {0, ..., n-1} acting on matrix rows.
@@ -244,9 +255,11 @@ def frobenius_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic generator for ``seed`` and an integer derivation path."""
-    if not 0 <= int(seed) < 2**64:
+    seed = _check_integer(seed, "seed")
+    if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
-    ss = np.random.SeedSequence(entropy=[int(seed), *[int(k) for k in path]])
+    ss = np.random.SeedSequence(entropy=[seed, *[_check_integer(k, "seed path entry")
+                                                 for k in path]])
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -232,8 +232,22 @@ def estimation_losses(fit: FitResult, p_true: Permutation, a_true) -> LossBreakd
     shaped estimates directly. Each is the float of
     :func:`~seriation.core.frobenius_sq_dist` over ``n m``, with O(block + n)
     scratch (``core._loss_terms``); the oracle's ``perm_only`` is 0.0.
+
+    ``fit.a_hat`` must be a float64 array of the truth's shape, and both
+    permutations :class:`~seriation.core.Permutation` objects. These checks
+    take O(1); an entry of ``a_hat`` that is not finite makes a loss that is
+    not, which raises ``ValueError`` too.
     """
     a_true = check_matrix(a_true, "a_true")
-    total, perm, matrix = _loss_terms(fit.a_hat, fit.p_hat, a_true, p_true)
+    if not isinstance(fit, FitResult):
+        raise ValueError(f"fit must be a FitResult, got {type(fit).__name__}")
+    a_hat = fit.a_hat
+    if not isinstance(a_hat, np.ndarray) or a_hat.dtype != np.float64:
+        got = getattr(a_hat, "dtype", type(a_hat).__name__)
+        raise ValueError(f"fit.a_hat must be a float64 numpy array, got {got}")
+    for name, p in (("fit.p_hat", fit.p_hat), ("p_true", p_true)):
+        if not isinstance(p, Permutation):
+            raise ValueError(f"{name} must be a Permutation, got {type(p).__name__}")
+    total, perm, matrix = _loss_terms(a_hat, fit.p_hat, a_true, p_true)
     nm = a_true.size
     return LossBreakdown(total=total / nm, perm_only=perm / nm, matrix_only=matrix / nm)

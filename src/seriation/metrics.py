@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import EPS, Permutation, check_matrix
+from .core import EPS, Permutation, _check_integer, check_matrix
 from .shape import _column_panels, has_monotone_columns
 
 
@@ -90,16 +90,6 @@ def variation(a) -> tuple[float, np.ndarray]:
     return v, per_column
 
 
-def _scores(d: np.ndarray, m: int) -> np.ndarray:
-    """``min(||u||^2/||u||_inf^2, m ||u||^2/||u||_1^2)`` of each row ``u``
-    of ``d``, absolute differences with a non-zero entry each. The rows are
-    divided in place by their largest entry first: the score is scale-free,
-    and the squares of scaled entries neither underflow nor overflow."""
-    d /= d.max(axis=1, keepdims=True)
-    sq = np.einsum("ij,ij->i", d, d)
-    return np.minimum(sq, m * sq / d.sum(axis=1) ** 2)
-
-
 # The scores of pairs (i, l), i < l, wait for row l's turn in a lower
 # triangle cut into chunks of at most this many bytes of scores. A single
 # triangle array (17 MB at n = 2048) raised the CLI pipeline's peak RSS from
@@ -114,13 +104,18 @@ _SQUARE_SAFE_LO, _SQUARE_SAFE_HI = 2.0**-500, 2.0**500
 
 
 def _scaled_scores(a: np.ndarray, i: int, rows: np.ndarray) -> np.ndarray:
-    """Pair scores of row ``i`` against ``rows`` by the scale-free
-    :func:`_scores`. Each row must differ from row ``i``."""
+    """Pair scores of row ``i`` against ``rows``, each of which must differ
+    from row ``i``. Each absolute difference is divided by its largest entry
+    first: the score is scale-free, and the squares of scaled entries neither
+    underflow nor overflow."""
     with np.errstate(over="ignore"):
         d = a[rows] - a[i]
     if not np.all(np.isfinite(d)):  # a difference past the float64 range
         d = 0.5 * a[rows] - 0.5 * a[i]
-    return _scores(np.abs(d), a.shape[1])
+    d = np.abs(d)
+    d /= d.max(axis=1, keepdims=True)
+    sq = np.einsum("ij,ij->i", d, d)
+    return np.minimum(sq, a.shape[1] * sq / d.sum(axis=1) ** 2)
 
 
 def r_statistic(a) -> float:
@@ -138,10 +133,11 @@ def r_statistic(a) -> float:
     ``i``, and kept until row ``l`` needs it. The scores still reach the
     top-n selection in the order of one pass per row ``i`` over all ``l``,
     which makes the result equal to the per-row loop it replaced
-    (``tests/oracles.py``). Cost: O(n^2 m / 2) entry operations, in tiles of
-    about ``core._ROW_BLOCK_BYTES`` so that the five passes over each tile
-    stay in cache, and about 9 n (n - 1) / 2 bytes of pending
-    scores and flags, held in chunks that are freed as their rows are used.
+    (``tests/oracles.py``). Two identical rows score 0/0 = NaN and are left
+    out. Cost: O(n^2 m / 2) entry operations, in tiles of about
+    ``core._ROW_BLOCK_BYTES`` so that the five passes over each tile stay in
+    cache, and about 8 n (n - 1) / 2 bytes of pending scores, held in chunks
+    that are freed as their rows are used.
     """
     a = check_matrix(a)
     if not has_monotone_columns(a):
@@ -151,31 +147,27 @@ def r_statistic(a) -> float:
     tri = np.arange(n + 1, dtype=np.int64)
     tri = tri * (tri - 1) // 2
     cap = _R_CHUNK_BYTES // 8
-    chunks = []  # (first row, end row, scores, distinct), in row order
+    chunks = []  # (first row, end row, scores), in row order
     r0 = 1
     while r0 < n:
         r1 = int(np.searchsorted(tri, tri[r0] + cap, side="right")) - 1
         r1 = min(max(r1, r0 + 1), n)
-        size = int(tri[r1] - tri[r0])
-        chunks.append((r0, r1, np.empty(size), np.empty(size, dtype=bool)))
+        chunks.append((r0, r1, np.empty(int(tri[r1] - tri[r0]))))
         r0 = r1
     tile = max(1, core._ROW_BLOCK_BYTES // (8 * m))
     buf = np.empty((min(tile, n), m))
     sq, linf, l1 = np.empty(n), np.empty(n), np.empty(n)
-    # row i's scores against every other row l, in l order, and whether
-    # the two rows differ
-    scores, distinct = np.empty(n - 1), np.empty(n - 1, dtype=bool)
+    scores = np.empty(n - 1)  # row i's scores against every other row l, in l order
     top = np.empty(0)
     for i in range(n):
         if i > 0:
-            r0, r1, held, held_distinct = chunks[0]
+            r0, r1, held = chunks[0]
             at = int(tri[i] - tri[r0])
             scores[:i] = held[at:at + i]
-            distinct[:i] = held_distinct[at:at + i]
             if i == r1 - 1:
                 del chunks[0]
         # 0/0 where rows agree; overflow and underflow where they differ
-        # by more than 2^500 or less than 2^-500, rescored below
+        # by too much or too little, rescored below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for t0 in range(i + 1, n, tile):
                 t1 = min(t0 + tile, n)
@@ -187,19 +179,18 @@ def r_statistic(a) -> float:
                 np.add.reduce(u, axis=1, out=l1[t0:t1])
             s2 = sq[i + 1:]
             np.minimum(s2 / linf[i + 1:]**2, m * s2 / l1[i + 1:]**2, out=scores[i:])
-        np.greater(linf[i + 1:], 0.0, out=distinct[i:])
+        # every other pair of distinct rows has ||u||_inf > 2^-500 and
+        # ||u||_1 < 2^500 / m, so it scores a finite float: ||u||_inf^2 <=
+        # ||u||^2 <= ||u||_inf ||u||_1 <= ||u||_1^2 puts each square in
+        # (2^-1000, 2^1000 / m^2)
         d_max = linf[i + 1:]
-        far = distinct[i:] & ((d_max <= _SQUARE_SAFE_LO) | (d_max >= _SQUARE_SAFE_HI))
+        far = (l1[i + 1:] >= _SQUARE_SAFE_HI / m) | ((d_max > 0.0) & (d_max <= _SQUARE_SAFE_LO))
         if far.any():
             scores[i:][far] = _scaled_scores(a, i, i + 1 + np.flatnonzero(far))
-        for r0, r1, held, held_distinct in chunks:
+        for r0, r1, held in chunks:
             lo = max(r0, i + 1)
-            at = tri[lo:r1] - tri[r0] + i
-            held[at] = scores[lo - 1:r1 - 1]
-            held_distinct[at] = distinct[lo - 1:r1 - 1]
-        picked = scores[distinct]
-        if picked.size == 0:
-            continue
+            held[tri[lo:r1] - tri[r0] + i] = scores[lo - 1:r1 - 1]
+        picked = scores[~np.isnan(scores)]
         top = np.concatenate([top, picked])
         if top.size > n:
             top = np.partition(top, top.size - n)[-n:]
@@ -237,13 +228,25 @@ def gap(a, i: int, i2: int) -> float:
     """Row gap from row ``i`` up to row ``i2`` (0-based):
 
         max_j (a[i2, j] - a[i, j])  v  (1/sqrt(m)) sum_j (a[i2, j] - a[i, j])
+
+    Only the two rows read are checked, in O(m).
     """
-    a = check_matrix(a)
-    n, m = a.shape
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
+    n = a.shape[0]
+    i, i2 = _check_integer(i, "row index"), _check_integer(i2, "row index")
     if not (0 <= i < n and 0 <= i2 < n):
         raise ValueError(f"row index out of range for {n} rows: {i}, {i2}")
-    d = a[i2] - a[i]
-    return max(float(np.max(d)), float(np.sum(d)) / np.sqrt(m))
+    rows = check_matrix(a[[i, i2]])
+    return float(_row_gaps(rows[1:] - rows[:1])[0])
+
+
+def _row_gaps(d: np.ndarray) -> np.ndarray:
+    """``max_j d[k, j]  v  (1/sqrt(m)) sum_j d[k, j]`` of each row k of the
+    row differences ``d``; a tie goes to the max."""
+    top, mean = d.max(axis=1), d.sum(axis=1) / np.sqrt(d.shape[1])
+    return np.where(mean > top, mean, top)
 
 
 def pairwise_gaps(a) -> np.ndarray:
@@ -383,12 +386,9 @@ def min_adjacent_row_gap(a) -> float:
     exactly when all rows are distinct. The float of the smallest
     ``gap(a, i, i + 1)``, from one pass over the row differences."""
     a = check_matrix(a)
-    n, m = a.shape
-    if n < 2:
+    if a.shape[0] < 2:
         raise ValueError("need at least two rows")
-    d = np.diff(a, axis=0)
-    top, mean = d.max(axis=1), d.sum(axis=1) / np.sqrt(m)
-    gaps = np.where(mean > top, mean, top)  # gap's max(top, mean), ties to top
+    gaps = _row_gaps(np.diff(a, axis=0))
     return float(gaps[np.argmin(gaps)])  # min's first smallest
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import EPS, check_matrix, check_vector
+from .core import EPS, _check_integer, check_matrix, check_vector
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,10 @@ class ShapeSpec:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         if (self.kind == "fixed-mode") != (self.mode is not None):
             raise ValueError("mode must be given exactly for fixed-mode shapes")
-        if self.mode is not None and self.mode < 1:
-            raise ValueError(f"mode must be >= 1, got {self.mode}")
+        if self.mode is not None:
+            object.__setattr__(self, "mode", _check_integer(self.mode, "mode"))
+            if self.mode < 1:
+                raise ValueError(f"mode must be >= 1, got {self.mode}")
 
 
 MONOTONE = ShapeSpec("monotone")
@@ -50,7 +52,7 @@ UNIMODAL = ShapeSpec("unimodal")
 
 
 def fixed_mode(l: int) -> ShapeSpec:
-    return ShapeSpec("fixed-mode", mode=int(l))
+    return ShapeSpec("fixed-mode", mode=l)
 
 
 @dataclass(frozen=True)
@@ -171,14 +173,15 @@ def fixed_mode_fit(y, l: int) -> VectorFit:
     minimized by a single descending scan over block values.
     """
     y = check_vector(y)
+    l = _check_integer(l, "mode position")
     fitted = _fixed_mode_fill(y, l)
-    return VectorFit(fitted=fitted, sse=_sse(fitted, y), mode=int(l))
+    return VectorFit(fitted=fitted, sse=_sse(fitted, y), mode=l)
 
 
 def _fixed_mode_fill(y: np.ndarray, l: int) -> np.ndarray:
-    """The fitted vector of :func:`fixed_mode_fit` for a validated ``y``."""
+    """The fitted vector of :func:`fixed_mode_fit` for a validated ``y`` and
+    an int ``l``."""
     n = y.size
-    l = int(l)
     if not 1 <= l <= n:
         raise ValueError(f"mode position {l} out of range [1, {n}]")
     _, top, size = _sweep(y[:l - 1])

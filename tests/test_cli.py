@@ -12,6 +12,7 @@ import seriation
 from seriation.cli import main
 from seriation.core import read_matrix_csv, read_permutation
 from seriation.estimators import METHODS, EstimatorConfig, fit
+from seriation.experiments import M_RULES, _apply_m_rule, fit_loglog_slope, read_records_csv
 from seriation.metrics import complexity_report
 from seriation.synth import gen_noise, gen_observation, gen_permutation, gen_truth
 
@@ -150,6 +151,15 @@ class TestMetrics:
         assert out == ""
         assert err.startswith("error:") and "variation V overflows" in err
         assert "Traceback" not in err
+
+    def test_far_row_pair(self, tmp_path, capsys):
+        # m ||u||^2 and ||u||_1^2 overflow float64: the unscaled score is
+        # inf / inf, and R of the one pair is 1
+        path = tmp_path / "a.csv"
+        path.write_text(",".join(["0"] * 8192) + "\n" + ",".join([repr(2.0**499)] * 8192) + "\n")
+        code, out, err = run_cli(capsys, "metrics", path)
+        assert code == 0, err
+        assert json.loads(out)["R"] == 1.0
 
     def test_missing_file_is_error_code(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "metrics", tmp_path / "absent.csv")
@@ -397,6 +407,37 @@ class TestExperiment:
         named = ", ".join(str(f) for f in flags if str(f).startswith("--"))
         assert err.startswith(f"error: {named} apply to --figure presets only")
         assert not out.exists()
+
+    def test_slope_per_regime(self, tmp_path, capsys):
+        # figure 2 runs three m-regimes; each gets its own slope per method
+        out = tmp_path / "r.csv"
+        code, stdout, _ = run_cli(capsys, "experiment", "--figure", "2-left", "--n-min", 8,
+                                  "--n-max", 32, "--n-points", 3, "--replications", 2,
+                                  "--out", out, "--slope")
+        assert code == 0
+        records = read_records_csv(out)
+        lines = [json.loads(line) for line in stdout.splitlines()]
+        assert [(d["regime"], d["method"]) for d in lines] == [
+            (rule, meth) for rule in M_RULES for meth in ("rankscore", "oracle")]
+        for d in lines:
+            m_of = {n: _apply_m_rule(d["regime"], n) for n in (8, 16, 32)}
+            subset = [r for r in records if r.method == d["method"] and r.m == m_of[r.n]]
+            assert len(subset) == 3
+            fit = fit_loglog_slope(subset)
+            assert (d["slope"], d["intercept"], d["r_squared"]) == (
+                fit.slope, fit.intercept, fit.r_squared)
+
+    def test_slope_of_config_grid(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"family": "random-v-bounded", "methods": ["oracle"],
+                                        "grid": [[4, 2], [8, 3], [16, 4]], "replications": 1}))
+        out = tmp_path / "r.csv"
+        code, stdout, _ = run_cli(capsys, "experiment", "--config", cfg_path, "--out", out,
+                                  "--slope")
+        assert code == 0
+        (line,) = [json.loads(s) for s in stdout.splitlines()]
+        assert (line["regime"], line["method"]) == ("grid", "oracle")
+        assert line["slope"] == fit_loglog_slope(read_records_csv(out)).slope
 
     def test_figure_preset_byte_identical(self, tmp_path, capsys):
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"

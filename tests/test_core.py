@@ -180,6 +180,20 @@ class TestRng:
         with pytest.raises(ValueError):
             derive_rng(2**64)
 
+    # a fractional seed used to draw the stream of its integer part
+    @pytest.mark.parametrize("seed, path", [
+        (1.5, ()), (True, ()), (np.bool_(False), ()), ("1", ()), (float("nan"), ()),
+        (float("inf"), ()), (None, ()), (1, (2.5,)), (1, (False,)),
+    ])
+    def test_rejects_non_integer_seeds(self, seed, path):
+        with pytest.raises(ValueError, match="must be an integer"):
+            derive_rng(seed, *path)
+
+    def test_integral_seeds_keep_their_stream(self):
+        expected = derive_rng(7, 3).normal(size=5).tobytes()
+        for seed, path in ((7.0, (3,)), (np.int64(7), (np.uint8(3),)), (7, (3.0,))):
+            assert derive_rng(seed, *path).normal(size=5).tobytes() == expected
+
 
 class TestTextFormats:
     def test_matrix_roundtrip(self, tmp_path):

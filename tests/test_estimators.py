@@ -331,6 +331,27 @@ class TestLosses:
             with pytest.raises(ValueError, match="permutation length"):
                 estimation_losses(result, Permutation.identity(5), truth)
 
+    # each malformed argument is a ValueError, not an AttributeError or a
+    # TypeError from the loss kernel
+    @pytest.mark.parametrize("a_hat, p_hat, p_true, message", [
+        ([[0.0, 1.0], [1.0, 2.0]], None, None, "got list"),
+        (np.zeros((2, 2), dtype=np.float32), None, None, "got float32"),
+        (np.zeros((2, 2), dtype=np.int64), None, None, "got int64"),
+        (np.zeros((2, 3)), None, None, "shape mismatch"),
+        (np.zeros(4), None, None, "shape mismatch"),
+        (np.array([[np.nan, 0.0], [0.0, 0.0]]), None, None, "not finite"),
+        (None, [1, 0], None, "fit.p_hat must be a Permutation"),
+        (None, None, [1, 0], "p_true must be a Permutation"),
+        (None, None, np.array([0, 1]), "p_true must be a Permutation"),
+    ])
+    def test_malformed_arguments_are_value_errors(self, a_hat, p_hat, p_true, message):
+        truth = np.array([[0.0, 1.0], [1.0, 2.0]])
+        result = FitResult(p_hat=Permutation(np.array([1, 0])) if p_hat is None else p_hat,
+                           a_hat=truth.copy() if a_hat is None else a_hat, sse=0.0)
+        with pytest.raises(ValueError, match=message):
+            estimation_losses(result, Permutation.identity(2) if p_true is None else p_true,
+                              truth)
+
     # blocks of one row up to the default size; row counts around a block
     # boundary, odd widths, exponents from 1e-30 to 1e30 in one matrix
     @settings(max_examples=60, deadline=None)

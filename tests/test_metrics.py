@@ -187,6 +187,13 @@ class TestRStatistic:
         r = r_statistic(a)
         assert r_statistic(a * 2.0**power) == pytest.approx(r, rel=1e-12)
 
+    def test_far_pair_by_its_l1_norm(self):
+        # ||u||_inf = 2^499 squares finely, but m ||u||^2 and ||u||_1^2
+        # overflow: the unscaled score is inf / inf, the true score 1
+        a = np.zeros((2, 8192))
+        a[1] = 2.0**499
+        assert r_statistic(a) == 1.0
+
     def test_tiny_row_differences(self):
         # found by the CLI fuzz: 0/0 scores made `metrics` crash
         a = np.array([[4.5e-232, 3.0e-251], [4.5e-232, 4.5e-232], [4.5e-232, 4.5e-232]])
@@ -223,6 +230,22 @@ class TestGap:
     def test_row_out_of_range(self):
         with pytest.raises(ValueError):
             gap(np.zeros((2, 2)), 0, 2)
+
+    def test_checks_only_the_rows_read(self):
+        # gap reads two rows in O(m); a NaN elsewhere is not its input
+        a = np.array([[0.0, 0.0], [1.0, 2.0], [np.nan, 0.0]])
+        assert gap(a, 0, 1) == pytest.approx(3.0 / np.sqrt(2.0))
+        for i, i2 in ((2, 0), (0, 2), (2, 2)):
+            with pytest.raises(ValueError, match="non-finite"):
+                gap(a, i, i2)
+
+    @pytest.mark.parametrize("a, i, i2", [
+        (np.zeros(3), 0, 1), (np.zeros((2, 2, 2)), 0, 1), (np.zeros((2, 2)), 0.5, 1),
+        (np.zeros((2, 2)), True, 1), (np.zeros((2, 2)), 0, "1"), (np.zeros((2, 2)), -1, 0),
+    ])
+    def test_malformed_arguments_are_value_errors(self, a, i, i2):
+        with pytest.raises(ValueError):
+            gap(a, i, i2)
 
     def test_abs_gap_is_norm_on_ordered_rows(self):
         # |gap(i, i2)| = max(linf, l1/sqrt(m)) of the row difference when rows

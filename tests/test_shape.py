@@ -128,6 +128,12 @@ class TestFixedMode:
         with pytest.raises(ValueError):
             fixed_mode_fit([1.0, 2.0], 3)
 
+    # a fractional peak position used to fit the mode below it
+    @pytest.mark.parametrize("l", [2.5, True, np.bool_(True), "2", float("nan"), None])
+    def test_rejects_non_integer_mode(self, l):
+        with pytest.raises(ValueError, match="must be an integer"):
+            fixed_mode_fit([1.0, 3.0, 2.0], l)
+
     def test_matches_dykstra(self):
         rng = derive_rng(11)
         groups = {}
@@ -530,6 +536,18 @@ class TestHasMonotoneColumns:
 
 
 class TestShapeSpec:
+    @pytest.mark.parametrize("mode", [2.5, True, np.bool_(True), "2", float("inf")])
+    @pytest.mark.parametrize("make", [lambda l: ShapeSpec("fixed-mode", mode=l), fixed_mode],
+                             ids=["ShapeSpec", "fixed_mode"])
+    def test_rejects_non_integer_mode(self, make, mode):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make(mode)
+
+    def test_integral_mode_is_an_int(self):
+        for l in (2, 2.0, np.int64(2)):
+            spec = fixed_mode(l)
+            assert spec == ShapeSpec("fixed-mode", mode=2) and type(spec.mode) is int
+
     def test_fixed_mode_requires_mode(self):
         with pytest.raises(ValueError):
             ShapeSpec("fixed-mode")
