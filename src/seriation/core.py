@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -23,13 +24,24 @@ import numpy as np
 EPS = 1e-9
 
 
+def _as_float64(a, name: str) -> np.ndarray:
+    """``a`` as a C-contiguous float64 array. Raise ``ValueError`` unless its
+    entries are real numbers: bool, integer or float. A complex, string or
+    object entry is refused rather than cast, since the cast would drop an
+    imaginary part or parse a string."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} entries must be real numbers, got dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.float64)
+
+
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and canonicalize a dense matrix.
 
     Returns a 2-D, C-contiguous float64 array. Rejects anything that is not
-    two-dimensional, empty, or contains NaN/inf entries.
+    two-dimensional, empty, not real, or contains NaN/inf entries.
     """
-    arr = np.ascontiguousarray(a, dtype=np.float64)
+    arr = _as_float64(a, name)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -40,7 +52,7 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def check_vector(y, name: str = "vector") -> np.ndarray:
-    arr = np.ascontiguousarray(y, dtype=np.float64)
+    arr = _as_float64(y, name)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size < 1:
@@ -50,16 +62,23 @@ def check_vector(y, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def check_nonnegative(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is a real number, finite and
-    >= 0. A bool or a numeric string is no real number here."""
+def _check_real(value, name: str) -> float:
+    """``value`` as a float. Raise ``ValueError`` unless it is a real number:
+    a bool or a numeric string is no number here. An int beyond the float64
+    range reads as an infinity of its sign."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int beyond the float64 range
-        finite = False
-    if not (finite and value >= 0):
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def check_nonnegative(value, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number, finite and
+    >= 0. A bool or a numeric string is no real number here."""
+    v = _check_real(value, name)
+    if not (math.isfinite(v) and v >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
@@ -72,6 +91,28 @@ def _check_integer(value, name: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_instance(value, cls, name: str):
+    """``value``, unless it is no ``cls``: then raise ``ValueError``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _check_choice(value, choices, what: str) -> None:
+    """Raise ``ValueError`` naming ``choices`` unless ``value`` is a string
+    among them. An array is never compared element-wise."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
+
+
+def _check_path(path):
+    """``path``, unless it is no ``str`` or ``os.PathLike``: then raise
+    ``ValueError``. ``open`` would take an int as a file descriptor."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path must be a str or os.PathLike, got {type(path).__name__}")
+    return path
 
 
 @dataclass(frozen=True)
@@ -89,6 +130,9 @@ class Permutation:
 
     def __post_init__(self):
         raw = np.asarray(self.mapping)
+        if raw.dtype.kind not in "iuf":
+            raise ValueError(
+                f"permutation mapping entries must be integers, got dtype {raw.dtype}")
         if raw.dtype.kind == "f":  # the cast must not change a value
             with np.errstate(invalid="ignore"):  # NaN and huge floats fail the check
                 if np.any(raw.astype(np.int64) != raw):
@@ -111,11 +155,12 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n, dtype=np.int64))
+        return cls(np.arange(_check_integer(n, "n"), dtype=np.int64))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
-        return cls(rng.permutation(n).astype(np.int64))
+        # an array n would be shuffled instead of read as a length
+        return cls(rng.permutation(_check_integer(n, "n")).astype(np.int64))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(
@@ -127,6 +172,7 @@ class Permutation:
 
 
 def inverse(p: Permutation) -> Permutation:
+    _check_instance(p, Permutation, "p")
     inv = np.empty(p.n, dtype=np.int64)
     inv[p.mapping] = np.arange(p.n, dtype=np.int64)
     return Permutation(inv)
@@ -139,7 +185,9 @@ def permute_rows(p: Permutation, a: np.ndarray) -> np.ndarray:
 
 
 def _check_rows(p: Permutation, a) -> np.ndarray:
-    """``check_matrix(a)``, which must have one row per entry of ``p``."""
+    """``check_matrix(a)``, which must have one row per entry of the
+    :class:`Permutation` ``p``."""
+    _check_instance(p, Permutation, "p")
     a = check_matrix(a)
     if p.n != a.shape[0]:
         raise ValueError(
@@ -274,7 +322,7 @@ def write_matrix_csv(a: np.ndarray, path) -> None:
     # one % per row; a whole-matrix tolist() or join costs tens of MB at
     # 2048 x 256
     fmt = ",".join(["%.17g"] * a.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as f:
+    with open(_check_path(path), "w", newline="\n") as f:
         for row in a:
             f.write(fmt % tuple(row.tolist()))
 
@@ -298,7 +346,7 @@ def read_matrix_csv(path) -> np.ndarray:
                     width = line.count(",") + 1
                 yield line
 
-    with open(path, "r") as f:
+    with open(_check_path(path), "r") as f:
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -320,7 +368,8 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_permutation(p: Permutation, path) -> None:
-    with open(path, "w", newline="\n") as f:
+    _check_instance(p, Permutation, "p")
+    with open(_check_path(path), "w", newline="\n") as f:
         for v in p.mapping:
             f.write(f"{int(v)}\n")
 
@@ -335,7 +384,7 @@ def read_permutation(path) -> Permutation:
     one per line. Every rejection raises ``ValueError`` naming the path; an
     entry that is no int64 decimal also names its 1-based line."""
     vals = []
-    with open(path, "r") as f:
+    with open(_check_path(path), "r") as f:
         try:
             for lineno, line in enumerate(f, start=1):
                 for tok in line.split():

@@ -20,6 +20,8 @@ import numpy as np
 
 from .core import (
     Permutation,
+    _check_choice,
+    _check_instance,
     _loss_terms,
     _permute_rows,
     _sq_dist,
@@ -77,6 +79,7 @@ class EstimatorConfig:
     tau_constant: float | None = None
 
     def __post_init__(self):
+        _check_instance(self.shape, ShapeSpec, "shape")
         check_nonnegative(self.sigma, "sigma")
         for name in ("tau", "tau_constant"):
             if getattr(self, name) is not None:
@@ -123,6 +126,7 @@ def rank_score(y, cfg: EstimatorConfig) -> FitResult:
     fit add O(n m) time and memory.
     """
     y = check_matrix(y)
+    _check_instance(cfg, EstimatorConfig, "cfg")
     if cfg.shape.kind != "monotone":
         raise UnsupportedShapeError(
             f"rank_score is defined for monotone columns only, got {cfg.shape.kind}"
@@ -152,6 +156,7 @@ def exhaustive_ls(y, shape: ShapeSpec) -> FitResult:
     refuses more than ``EXHAUSTIVE_ROW_CAP`` rows.
     """
     y = check_matrix(y)
+    _check_instance(shape, ShapeSpec, "shape")
     n = y.shape[0]
     if n > EXHAUSTIVE_ROW_CAP:
         raise ValueError(
@@ -169,6 +174,8 @@ def exhaustive_ls(y, shape: ShapeSpec) -> FitResult:
 def oracle_fit(y, p_true: Permutation, shape: ShapeSpec) -> FitResult:
     """Projection onto the cone with the true permutation known."""
     y = check_matrix(y)
+    _check_instance(p_true, Permutation, "p_true")
+    _check_instance(shape, ShapeSpec, "shape")
     if p_true.n != y.shape[0]:
         raise ValueError(
             f"permutation of {p_true.n} rows given for a matrix of {y.shape[0]} rows"
@@ -194,6 +201,8 @@ def fit(method: str, y, cfg: EstimatorConfig,
     ``p_true``. Estimators are looked up by module name at call time, so a
     rebound name (a tracing wrapper, say) is honoured.
     """
+    _check_choice(method, METHODS, "method")
+    _check_instance(cfg, EstimatorConfig, "cfg")
     if method in ("ranksum", "average") and cfg.shape.kind != "monotone":
         raise UnsupportedShapeError(
             f"{method} fits monotone columns only, got {cfg.shape.kind}"
@@ -208,9 +217,7 @@ def fit(method: str, y, cfg: EstimatorConfig,
         if p_true is None:
             raise ValueError("the oracle needs the true permutation (p_true)")
         return oracle_fit(y, p_true, cfg.shape)
-    if method == "average":
-        return averaging_fit(y)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return averaging_fit(y)
 
 
 @dataclass(frozen=True)
@@ -239,15 +246,13 @@ def estimation_losses(fit: FitResult, p_true: Permutation, a_true) -> LossBreakd
     not, which raises ``ValueError`` too.
     """
     a_true = check_matrix(a_true, "a_true")
-    if not isinstance(fit, FitResult):
-        raise ValueError(f"fit must be a FitResult, got {type(fit).__name__}")
+    _check_instance(fit, FitResult, "fit")
     a_hat = fit.a_hat
     if not isinstance(a_hat, np.ndarray) or a_hat.dtype != np.float64:
         got = getattr(a_hat, "dtype", type(a_hat).__name__)
         raise ValueError(f"fit.a_hat must be a float64 numpy array, got {got}")
-    for name, p in (("fit.p_hat", fit.p_hat), ("p_true", p_true)):
-        if not isinstance(p, Permutation):
-            raise ValueError(f"{name} must be a Permutation, got {type(p).__name__}")
+    _check_instance(fit.p_hat, Permutation, "fit.p_hat")
+    _check_instance(p_true, Permutation, "p_true")
     total, perm, matrix = _loss_terms(a_hat, fit.p_hat, a_true, p_true)
     nm = a_true.size
     return LossBreakdown(total=total / nm, perm_only=perm / nm, matrix_only=matrix / nm)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, derive_rng
+from .core import Permutation, _check_choice, _check_instance, _check_path, derive_rng
 from .estimators import (
     EXHAUSTIVE_ROW_CAP,
     METHODS,
@@ -66,8 +66,7 @@ class ExperimentConfig:
     out_path: str | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        _check_choice(self.family, FAMILIES, "family")
         if self.family == "custom":
             raise ValueError("experiments generate their own truths; custom is CLI-only")
         # a bare string would be split into one-letter method names
@@ -77,8 +76,7 @@ class ExperimentConfig:
         if not methods:
             raise ValueError("at least one method required")
         for m in methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+            _check_choice(m, METHODS, "method")
         object.__setattr__(self, "methods", methods)
         if self.out_path is not None and not isinstance(self.out_path, str):
             raise ValueError(f"out_path must be a path string, got {self.out_path!r}")
@@ -111,8 +109,7 @@ class ExperimentConfig:
         else:
             if self.n_min is None or self.n_max is None or self.m_rule is None:
                 raise ValueError("either grid or (n_min, n_max, m_rule) required")
-            if self.m_rule not in M_RULES:
-                raise ValueError(f"unknown m rule {self.m_rule!r}; expected one of {M_RULES}")
+            _check_choice(self.m_rule, M_RULES, "m rule")
             if not 1 <= self.n_min <= self.n_max:
                 raise ValueError("need 1 <= n_min <= n_max")
             if self.n_points < 2:
@@ -169,7 +166,7 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list[Experime
     the configuration; ``timing=True`` fills real wall times at the cost of
     byte-reproducible output.
     """
-    grid = cfg.resolved_grid()
+    grid = _check_instance(cfg, ExperimentConfig, "cfg").resolved_grid()
     if "exhaustive" in cfg.methods:
         worst = max(n for n, _ in grid)
         if worst > EXHAUSTIVE_ROW_CAP:
@@ -219,14 +216,21 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list[Experime
 def fit_loglog_slope(records, x: str = "n", y: str = "loss_total") -> SlopeFit:
     """Ordinary least squares of log10(y) on log10(x) over the records.
 
-    Requires at least three records and strictly positive y values (a zero
-    loss has no logarithm; add noise to the experiment if that happens).
+    Requires at least three records, each with numeric attributes ``x``
+    and ``y``, and finite, strictly positive values (a zero loss has no
+    logarithm; add noise to the experiment if that happens).
     """
-    xs = np.array([float(getattr(r, x)) for r in records])
-    ys = np.array([float(getattr(r, y)) for r in records])
+    try:
+        xs = np.array([float(getattr(r, x)) for r in records])
+        ys = np.array([float(getattr(r, y)) for r in records])
+    except (AttributeError, TypeError) as e:  # also a field name that is no str
+        raise ValueError(f"records need numeric fields {x!r} and {y!r}: {e}") from None
     if xs.size < 3:
         raise ValueError("need at least 3 records to fit a slope")
-    if np.any(ys <= 0):
+    if not np.all(np.isfinite(xs) & (xs > 0)):
+        raise ValueError(f"{x} values must be finite and positive for a log-log slope")
+    # a NaN or an inf has no place on the line either
+    if not np.all(np.isfinite(ys) & (ys > 0)):
         raise ValueError(
             f"{y} contains non-positive values; log-log slope undefined "
             "(run the experiment with noise)"
@@ -252,7 +256,8 @@ CSV_HEADER = "n,m,method,loss_total,loss_perm,loss_matrix,log10_loss_total,wall_
 def emit_csv(records, path) -> None:
     """Write records with a fixed field order, 17-significant-digit floats
     and LF line endings."""
-    with open(path, "w", newline="\n") as f:
+    records = [_check_instance(r, ExperimentRecord, "record") for r in records]
+    with open(_check_path(path), "w", newline="\n") as f:
         f.write(CSV_HEADER + "\n")
         for r in records:
             f.write(
@@ -264,7 +269,7 @@ def emit_csv(records, path) -> None:
 
 def read_records_csv(path) -> list[ExperimentRecord]:
     records = []
-    with open(path, "r") as f:
+    with open(_check_path(path), "r") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
@@ -337,8 +342,7 @@ def figure_configs(name: str, n_min: int | None = None, n_max: int | None = None
     configurations (m = sqrt(n), m = n, m = n^1.5); the other presets are a
     single configuration each.
     """
-    if name not in FIGURES:
-        raise ValueError(f"unknown figure {name!r}; expected one of {FIGURES}")
+    _check_choice(name, FIGURES, "figure")
     base = dict(_PRESET_BASE[name])
     if n_min is not None:
         base["n_min"] = n_min

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import EPS, Permutation, _check_integer, check_matrix
+from .core import EPS, Permutation, _check_instance, _check_integer, _check_real, check_matrix
 from .shape import _column_panels, has_monotone_columns
 
 
@@ -59,15 +59,16 @@ def count_levels(a, quantize: float | None = None) -> tuple[int, np.ndarray]:
     Distinctness is exact equality of floats: inputs are constructed
     matrices, where ties are exact by construction. For externally loaded
     noisy data, ``quantize`` snaps values to multiples of the given width
-    before counting; the width must be finite and > 0, and every
-    ``a / quantize`` must be finite.
+    before counting; the width must be a real number, finite and > 0, and
+    every ``a / quantize`` must be finite.
     """
     a = check_matrix(a)
     if quantize is not None:
-        if not (math.isfinite(quantize) and quantize > 0):
+        width = _check_real(quantize, "quantize width")
+        if not (math.isfinite(width) and width > 0):
             raise ValueError(f"quantize width must be finite and > 0, got {quantize}")
         with np.errstate(over="ignore"):
-            a = a / quantize
+            a = a / width
         if not np.all(np.isfinite(a)):
             raise ValueError(f"quantize width {quantize} is too small for these "
                              "entries: a / quantize overflows float64")
@@ -316,9 +317,13 @@ def gap_scores(a, threshold: float) -> np.ndarray:
 
     A row sum that overflows to inf makes some reference gaps NaN
     (``inf - inf``), which no union can express; such input is counted by
-    the reference.
+    the reference. ``threshold`` is any real number but NaN; +-inf is fine.
     """
-    return _gap_scores(check_matrix(a), threshold)
+    a = check_matrix(a)
+    threshold = _check_real(threshold, "threshold")
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
+    return _gap_scores(a, threshold)
 
 
 def _gap_scores(a: np.ndarray, threshold: float) -> np.ndarray:
@@ -419,6 +424,8 @@ def rearrangement_check(
     """
     a_true = check_matrix(a_true, "a_true")
     a_alt = check_matrix(a_alt, "a_alt")
+    _check_instance(p_true, Permutation, "p_true")
+    _check_instance(p_alt, Permutation, "p_alt")
     if not has_monotone_columns(a_true) or not has_monotone_columns(a_alt):
         raise ValueError("both matrices must have increasing columns")
     total_term, perm_term, matrix_term = core._loss_terms(a_alt, p_alt, a_true, p_true)

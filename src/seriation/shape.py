@@ -16,13 +16,17 @@ and array indices everywhere else are 0-based.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
-from .core import EPS, _check_integer, check_matrix, check_vector
+from .core import EPS, _check_choice, _check_instance, _check_integer, check_matrix, check_vector
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,7 @@ class ShapeSpec:
     mode: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("monotone", "unimodal", "fixed-mode"):
-            raise ValueError(f"unknown shape kind {self.kind!r}")
+        _check_choice(self.kind, ("monotone", "unimodal", "fixed-mode"), "shape kind")
         if (self.kind == "fixed-mode") != (self.mode is not None):
             raise ValueError("mode must be given exactly for fixed-mode shapes")
         if self.mode is not None:
@@ -263,7 +266,7 @@ def project_columns(a, shape: ShapeSpec) -> np.ndarray:
     Raises ``ValueError`` when the projection is not representable:
     scipy's pooled sums overflow near +-1e308 and would return inf.
     """
-    out = _project_columns(check_matrix(a), shape)
+    out = _project_columns(check_matrix(a), _check_instance(shape, ShapeSpec, "shape"))
     if not np.all(np.isfinite(out)):
         raise ValueError("column projection overflowed (entries near the float64 limit)")
     return out
@@ -302,14 +305,45 @@ def _column_panels(a: np.ndarray, rows=None):
         yield cols, panel
 
 
+_PAVA_MODULE = "scipy.optimize._pava_pybind"
+
+
+def _pava():
+    """scipy's compiled PAVA kernel, loaded from its file at the first
+    monotone fit.
+
+    ``from scipy.optimize._pava_pybind import pava`` would first run
+    ``scipy/optimize/__init__.py``, which imports scipy.sparse and
+    scipy.linalg with their BLAS: about 48 MB of RSS and 0.4 s of a cold
+    start on a 2-core host, for nothing this package uses. Only the
+    top-level ``scipy`` package (about 1.4 MB) is imported; the extension
+    is found in its ``optimize`` directory without importing that package.
+    The module is registered under its own name, so a later
+    ``import scipy.optimize`` reuses it instead of initialising the
+    extension a second time.
+    """
+    module = sys.modules.get(_PAVA_MODULE)
+    if module is None:
+        import scipy
+
+        dirs = [os.path.join(d, "optimize") for d in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(_PAVA_MODULE, dirs)
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no compiled PAVA kernel "
+                              f"({_PAVA_MODULE}); seriation needs scipy>=1.12")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_PAVA_MODULE] = module
+    return module.pava
+
+
 def _project_columns(a: np.ndarray, shape: ShapeSpec, rows=None) -> np.ndarray:
     """:func:`project_columns` of ``a[rows]`` (all of ``a`` when ``rows`` is
     None) for a validated matrix, fitted in place panel by panel."""
     n = a.shape[0] if rows is None else rows.size
     if shape.kind == "monotone":
-        # scipy.optimize takes most of a cold start, and only this branch
-        # needs it: load it at the first monotone fit, not at import
-        from scipy.optimize._pava_pybind import pava
+        # loaded here, not at import: only this branch needs scipy
+        pava = _pava()
 
         # the inputs isotonic_regression hands the kernel, allocated once
         w = np.empty(n)

@@ -36,6 +36,9 @@ import numpy as np
 from . import core
 from .core import (
     Permutation,
+    _check_choice,
+    _check_instance,
+    _check_integer,
     check_matrix,
     check_nonnegative,
     derive_rng,
@@ -66,8 +69,10 @@ def draw_truth(family: str, n: int, m: int, rng: np.random.Generator,
                blocks: int = 5, path: str | None = None) -> np.ndarray:
     """Draw an n x m truth of ``family`` from ``rng``, checking every
     argument; `gen_truth` seeds it."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    _check_choice(family, FAMILIES, "family")
+    n, m = _check_integer(n, "n"), _check_integer(m, "m")
+    blocks = _check_integer(blocks, "blocks")
+    _check_instance(rng, np.random.Generator, "rng")
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     if blocks < 1:
@@ -118,8 +123,7 @@ def gen_truth(family: str, n: int, m: int, seed: int = 0, blocks: int = 5,
 def check_noise(kind: str, sigma: float) -> None:
     """Raise ``ValueError`` unless ``kind`` is a noise kind and ``sigma`` is
     a real number, finite and >= 0."""
-    if kind not in NOISE_KINDS:
-        raise ValueError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
+    _check_choice(kind, NOISE_KINDS, "noise kind")
     check_nonnegative(sigma, "sigma")
 
 
@@ -127,6 +131,10 @@ def draw_noise(kind: str, sigma: float, n: int, m: int,
                rng: np.random.Generator) -> np.ndarray:
     """Draw n x m noise of ``kind`` and scale ``sigma`` from ``rng``."""
     check_noise(kind, sigma)
+    n, m = _check_integer(n, "n"), _check_integer(m, "m")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    _check_instance(rng, np.random.Generator, "rng")
     if kind == "gaussian":
         return rng.normal(0.0, sigma, size=(n, m)) if sigma > 0 else np.zeros((n, m))
     if kind == "rademacher":

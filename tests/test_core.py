@@ -90,6 +90,11 @@ class TestPermutation:
         # integral floats are the integers they spell
         assert Permutation(np.array([1.0, 0.0])) == Permutation(np.array([1, 0]))
 
+    @pytest.mark.parametrize("bad", [[None], ["1", "0"], [True, False]])
+    def test_entries_that_are_no_numbers_rejected(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            Permutation(bad)
+
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
         permutations_of(n), permutations_of(n),
         arrays(np.float64, (n, 2), elements=finite))))
@@ -161,6 +166,12 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             check_matrix(np.zeros((0, 2)))
+
+    # a cast to float64 would drop the imaginary part or parse the string
+    @pytest.mark.parametrize("a", [[[1 + 2j]], np.array([[1 + 2j]]), [["1"]], [[None]]])
+    def test_rejects_entries_that_are_no_real_numbers(self, a):
+        with pytest.raises(ValueError, match="real numbers"):
+            check_matrix(a)
 
 
 class TestRng:

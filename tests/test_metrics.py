@@ -61,6 +61,11 @@ class TestCountLevels:
         with pytest.raises(ValueError, match="finite and > 0"):
             count_levels(np.array([[0.0], [1.0]]), quantize=width)
 
+    @pytest.mark.parametrize("width", ["x", "1", [1.0], True])
+    def test_quantize_width_must_be_a_real_number(self, width):
+        with pytest.raises(ValueError, match="real number"):
+            count_levels(np.array([[0.0], [1.0]]), quantize=width)
+
     # a width so small, or an entry so large, that a / quantize overflows
     @pytest.mark.parametrize("entry, width", [(1.0, 1e-310), (1e308, 0.5)])
     def test_quantize_quotient_must_be_finite(self, entry, width):

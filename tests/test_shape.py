@@ -1,3 +1,5 @@
+import importlib.machinery
+import sys
 from unittest import mock
 
 import numpy as np
@@ -256,6 +258,14 @@ class TestProjectColumns:
         out = project_columns(a, MONOTONE)
         for j in range(7):
             assert np.allclose(out[:, j], isotonic_fit(a[:, j]).fitted, atol=1e-12)
+
+    def test_missing_kernel_names_the_scipy_floor(self, monkeypatch):
+        # a scipy without the kernel file: the search finds nothing
+        monkeypatch.delitem(sys.modules, shape_module._PAVA_MODULE)
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(lambda cls, name, path=None, target=None: None))
+        with pytest.raises(ImportError, match=r"scipy \S+ has no .*scipy>=1\.12"):
+            project_columns(np.zeros((2, 1)), MONOTONE)
 
     def test_fixed_mode_shape(self):
         a = derive_rng(16).normal(size=(5, 3))
