@@ -256,7 +256,11 @@ CSV_HEADER = "n,m,method,loss_total,loss_perm,loss_matrix,log10_loss_total,wall_
 def emit_csv(records, path) -> None:
     """Write records with a fixed field order, 17-significant-digit floats
     and LF line endings."""
-    records = [_check_instance(r, ExperimentRecord, "record") for r in records]
+    try:
+        records = [_check_instance(r, ExperimentRecord, "record") for r in records]
+    except TypeError:  # not iterable
+        raise ValueError(f"records must be a list of ExperimentRecord, "
+                         f"got {type(records).__name__}") from None
     with open(_check_path(path), "w", newline="\n") as f:
         f.write(CSV_HEADER + "\n")
         for r in records:
@@ -268,19 +272,25 @@ def emit_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[ExperimentRecord]:
+    """Read a records CSV written by :func:`emit_csv`. Every rejection
+    raises ``ValueError`` naming the path; a bad record also names its
+    1-based line."""
     records = []
     with open(_check_path(path), "r") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
-            # the fields in CSV_HEADER order, which is the record's
-            n, m, method, lt, lp, lm, l10, wt, seed = line.split(",")
-            records.append(ExperimentRecord(int(n), int(m), method, float(lt), float(lp),
-                                            float(lm), float(l10), float(wt), int(seed)))
+            try:
+                # the fields in CSV_HEADER order, which is the record's
+                n, m, method, lt, lp, lm, l10, wt, seed = line.split(",")
+                records.append(ExperimentRecord(int(n), int(m), method, float(lt), float(lp),
+                                                float(lm), float(l10), float(wt), int(seed)))
+            except ValueError as e:
+                raise ValueError(f"{path}: bad record at line {lineno}: {e}") from None
     return records
 
 

@@ -132,8 +132,6 @@ def draw_noise(kind: str, sigma: float, n: int, m: int,
     """Draw n x m noise of ``kind`` and scale ``sigma`` from ``rng``."""
     check_noise(kind, sigma)
     n, m = _check_integer(n, "n"), _check_integer(m, "m")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
     _check_instance(rng, np.random.Generator, "rng")
     if kind == "gaussian":
         return rng.normal(0.0, sigma, size=(n, m)) if sigma > 0 else np.zeros((n, m))

@@ -90,6 +90,13 @@ class TestPermutation:
         # integral floats are the integers they spell
         assert Permutation(np.array([1.0, 0.0])) == Permutation(np.array([1, 0]))
 
+    # an array length would be shuffled by rng.permutation, not read as n
+    @pytest.mark.parametrize("n", [np.array([1, 0]), [2], 2.5, "2"])
+    def test_length_must_be_an_integer(self, n):
+        for make in (Permutation.identity, lambda n: Permutation.random(n, derive_rng(0))):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                make(n)
+
     @pytest.mark.parametrize("bad", [[None], ["1", "0"], [True, False]])
     def test_entries_that_are_no_numbers_rejected(self, bad):
         with pytest.raises(ValueError, match="integers"):

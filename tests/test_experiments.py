@@ -209,6 +209,11 @@ class TestCsv:
         emit_csv([], path)
         assert path.read_bytes() == (CSV_HEADER + "\n").encode()
 
+    @pytest.mark.parametrize("records", [5, [1.0], "oracle"])
+    def test_records_that_are_no_records_rejected(self, tmp_path, records):
+        with pytest.raises(ValueError, match="record"):
+            emit_csv(records, tmp_path / "r.csv")
+
     def test_roundtrip_identical(self, tmp_path):
         cfg = tiny_config(methods=("oracle", "average"))
         records = run_experiment(cfg)
@@ -228,6 +233,14 @@ class TestCsv:
         path = tmp_path / "r.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError, match="header"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("record", ["4,2,oracle", "4,2,oracle,x,0,1,0,0,0",
+                                        "4,2,oracle,1,0,1,0,0,0,extra"])
+    def test_bad_record_names_path_and_line(self, tmp_path, record):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{CSV_HEADER}\n4,2,oracle,1,0,1,0,0,0\n\n{record}\n")
+        with pytest.raises(ValueError, match=r"r\.csv: bad record at line 4: "):
             read_records_csv(path)
 
 
