@@ -5,7 +5,7 @@ in a fresh interpreter, then records per (regime, method) the log-log slope
 of the mean loss against n and its r², and, at the largest n of each
 regime, the loss ratios rankscore/oracle and ranksum/rankscore. The seed
 and the package, numpy and scipy versions head the file. The five presets
-take about 15 s together on a 2-core host.
+take about 16 s together on a 2-core host.
 
     PYTHONPATH=src python scripts/make_reproduction.py           # rewrite the ledger
     PYTHONPATH=src python scripts/make_reproduction.py --check   # exit 1 if it is stale
