@@ -7,8 +7,8 @@ regime, the loss ratios rankscore/oracle and ranksum/rankscore. The seed
 and the package, numpy and scipy versions head the file. The five presets
 take about 16 s together on a 2-core host.
 
-    PYTHONPATH=src python scripts/make_reproduction.py           # rewrite the ledger
-    PYTHONPATH=src python scripts/make_reproduction.py --check   # exit 1 if it is stale
+    PYTHONPATH=src python scripts/make_reproduction.py
+    git diff --exit-code REPRODUCTION.md   # exit 1 if the committed ledger was stale
 
 Refresh the ledger only with an intended output change, and say why in
 CHANGES.md.
@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 import seriation
-from seriation.experiments import FIGURES, figure_configs, read_records_csv
+from seriation.experiments import FIGURES, figure_configs, read_records_csv, records_by_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEDGER = os.path.join(ROOT, "REPRODUCTION.md")
@@ -75,16 +75,12 @@ def preset_section(name: str, tmp: str) -> list[str]:
         "| regime (m) | largest n | m | rankscore / oracle | ranksum / rankscore |",
         "|---|---|---|---|---|",
     ]
-    start = 0
-    for c in configs:
-        end = start + len(c.resolved_grid()) * len(c.methods)
-        regime = records[start:end]
+    for c, regime in records_by_config(configs, records):
         n_max = max(r.n for r in regime)
         last = {r.method: r.loss_total for r in regime if r.n == n_max}
         m = next(r.m for r in regime if r.n == n_max)
         lines.append(f"| {c.m_rule} | {n_max} | {m} | {_ratio(last, 'rankscore', 'oracle')} "
                      f"| {_ratio(last, 'ranksum', 'rankscore')} |")
-        start = end
     return lines + [""]
 
 
@@ -112,18 +108,9 @@ def render() -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare with the committed ledger instead of writing it")
-    args = parser.parse_args()
-    text = render()
-    if args.check:
-        with open(LEDGER, encoding="utf-8") as f:
-            same = f.read() == text
-        print("REPRODUCTION.md is current" if same else "REPRODUCTION.md is stale")
-        return 0 if same else 1
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     with open(LEDGER, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+        f.write(render())
     return 0
 
 

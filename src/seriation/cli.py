@@ -208,23 +208,19 @@ def _cmd_experiment(args) -> int:
     experiments.emit_csv(records, out)
     print(f"wrote {len(records)} records to {out}", file=sys.stderr)
     if args.slope:
-        # one slope per (regime, method): each config's records come in one
-        # run, one per (cell, method)
-        start = 0
-        for cfg in configs:
-            end = start + len(cfg.resolved_grid()) * len(cfg.methods)
+        # one slope per (regime, method)
+        for cfg, regime_records in experiments.records_by_config(configs, records):
             regime = "grid" if cfg.grid is not None else cfg.m_rule
             for method in cfg.methods:
                 line = {"regime": regime, "method": method}
                 try:
                     fitres = experiments.fit_loglog_slope(
-                        [r for r in records[start:end] if r.method == method])
+                        [r for r in regime_records if r.method == method])
                 except ValueError as e:
                     print(json.dumps({**line, "error": str(e)}))
                     continue
                 print(json.dumps({**line, "slope": fitres.slope, "intercept": fitres.intercept,
                                   "r_squared": fitres.r_squared}, allow_nan=False))
-            start = end
     return 0
 
 

@@ -375,3 +375,21 @@ def run_figure(name: str, timing: bool = False, **preset_kwargs) -> list[Experim
     for cfg in figure_configs(name, **preset_kwargs):
         records.extend(run_experiment(cfg, timing=timing))
     return records
+
+
+def records_by_config(configs, records) -> list[tuple[ExperimentConfig, list]]:
+    """Split the records of a run over ``configs`` into ``(cfg, records)``
+    pairs, one per configuration.
+
+    The records must be laid out as :func:`run_figure` returns them:
+    configuration by configuration, one record per (cell, method).
+    """
+    out, start = [], 0
+    for cfg in configs:
+        end = start + len(cfg.resolved_grid()) * len(cfg.methods)
+        out.append((cfg, records[start:end]))
+        start = end
+    if start != len(records):
+        raise ValueError(f"{len(records)} records do not match the configurations, "
+                         f"which make {start}")
+    return out

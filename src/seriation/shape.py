@@ -16,8 +16,6 @@ and array indices everywhere else are 0-based.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
 import os
 import sys
@@ -324,6 +322,9 @@ def _pava():
     """
     module = sys.modules.get(_PAVA_MODULE)
     if module is None:
+        import importlib.machinery
+        import importlib.util
+
         import scipy
 
         dirs = [os.path.join(d, "optimize") for d in scipy.__path__]

@@ -12,6 +12,7 @@ from seriation.experiments import (
     figure_configs,
     fit_loglog_slope,
     read_records_csv,
+    records_by_config,
     run_experiment,
     run_figure,
 )
@@ -265,3 +266,16 @@ class TestFigures:
         methods = {r.method for r in records}
         assert methods == {"rankscore", "oracle"}
         assert all(r.n == r.m for r in records)
+
+    def test_records_by_config(self):
+        kw = dict(n_min=8, n_max=16, n_points=2, replications=1)
+        cfgs = figure_configs("2-left", **kw)
+        records = run_figure("2-left", **kw)
+        split = records_by_config(cfgs, records)
+        assert [c for c, _ in split] == cfgs
+        assert [r for _, part in split for r in part] == records
+        for cfg, part in split:
+            assert len(part) == 2 * len(cfg.methods)
+            assert {r.m for r in part if r.n == 16} == {cfg.resolved_grid()[-1][1]}
+        with pytest.raises(ValueError, match="do not match"):
+            records_by_config(cfgs, records[:-1])
