@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 import seriation
-from seriation.experiments import FIGURES, figure_configs, read_records_csv, records_by_config
+from seriation.experiments import FIGURES, figure_configs, read_records_csv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEDGER = os.path.join(ROOT, "REPRODUCTION.md")
@@ -75,10 +75,10 @@ def preset_section(name: str, tmp: str) -> list[str]:
         "| regime (m) | largest n | m | rankscore / oracle | ranksum / rankscore |",
         "|---|---|---|---|---|",
     ]
-    for c, regime in records_by_config(configs, records):
-        n_max = max(r.n for r in regime)
-        last = {r.method: r.loss_total for r in regime if r.n == n_max}
-        m = next(r.m for r in regime if r.n == n_max)
+    for c in configs:
+        # each regime's largest cell; the regimes' m differ at any n > 1
+        n_max, m = c.resolved_grid()[-1]
+        last = {r.method: r.loss_total for r in records if (r.n, r.m) == (n_max, m)}
         lines.append(f"| {c.m_rule} | {n_max} | {m} | {_ratio(last, 'rankscore', 'oracle')} "
                      f"| {_ratio(last, 'ranksum', 'rankscore')} |")
     return lines + [""]

@@ -178,7 +178,6 @@ def _cmd_experiment(args) -> int:
     preset = {k: getattr(args, k) for k in _PRESET_KEYS if getattr(args, k) is not None}
     if args.figure:
         configs = experiments.figure_configs(args.figure, **preset)
-        records = experiments.run_figure(args.figure, timing=args.timing, **preset)
         out = args.out or f"figure-{args.figure}.csv"
     else:
         if preset:
@@ -199,17 +198,18 @@ def _cmd_experiment(args) -> int:
         missing = {f.name for f in fields if f.default is dataclasses.MISSING} - set(raw)
         if missing:
             raise ValueError(f"missing config fields {sorted(missing)}")
-        cfg = experiments.ExperimentConfig(**raw)
-        configs = [cfg]
-        records = experiments.run_experiment(cfg, timing=args.timing)
-        out = args.out or cfg.out_path
+        configs = [experiments.ExperimentConfig(**raw)]
+        out = args.out or configs[0].out_path
         if not out:
             raise ValueError("no output path: pass --out or set out_path in the config")
+    # one run per configuration, which keeps its own records for --slope
+    runs = [(cfg, experiments.run_experiment(cfg, timing=args.timing)) for cfg in configs]
+    records = [r for _, regime_records in runs for r in regime_records]
     experiments.emit_csv(records, out)
     print(f"wrote {len(records)} records to {out}", file=sys.stderr)
     if args.slope:
         # one slope per (regime, method)
-        for cfg, regime_records in experiments.records_by_config(configs, records):
+        for cfg, regime_records in runs:
             regime = "grid" if cfg.grid is not None else cfg.m_rule
             for method in cfg.methods:
                 line = {"regime": regime, "method": method}

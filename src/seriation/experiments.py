@@ -218,9 +218,12 @@ def fit_loglog_slope(records, x: str = "n", y: str = "loss_total") -> SlopeFit:
 
     Requires at least three records, each with numeric attributes ``x``
     and ``y``, and finite, strictly positive values (a zero loss has no
-    logarithm; add noise to the experiment if that happens).
+    logarithm; add noise to the experiment if that happens). Records that
+    carry an ``m`` must not repeat an x value with a different m: such
+    records pool several (n, m) regimes into one line.
     """
     try:
+        records = list(records)  # read once: records may be a generator
         xs = np.array([float(getattr(r, x)) for r in records])
         ys = np.array([float(getattr(r, y)) for r in records])
     except (AttributeError, TypeError) as e:  # also a field name that is no str
@@ -235,6 +238,11 @@ def fit_loglog_slope(records, x: str = "n", y: str = "loss_total") -> SlopeFit:
             f"{y} contains non-positive values; log-log slope undefined "
             "(run the experiment with noise)"
         )
+    m_at = {}
+    for xv, r in zip(xs, records):
+        if hasattr(r, "m") and m_at.setdefault(xv, r.m) != r.m:
+            raise ValueError(f"{x} = {xv:g} repeats with m = {m_at[xv]} and m = {r.m}; "
+                             "fit one m-regime at a time")
     lx = np.log10(xs)
     ly = np.log10(ys)
     vx = lx - lx.mean()
@@ -375,21 +383,3 @@ def run_figure(name: str, timing: bool = False, **preset_kwargs) -> list[Experim
     for cfg in figure_configs(name, **preset_kwargs):
         records.extend(run_experiment(cfg, timing=timing))
     return records
-
-
-def records_by_config(configs, records) -> list[tuple[ExperimentConfig, list]]:
-    """Split the records of a run over ``configs`` into ``(cfg, records)``
-    pairs, one per configuration.
-
-    The records must be laid out as :func:`run_figure` returns them:
-    configuration by configuration, one record per (cell, method).
-    """
-    out, start = [], 0
-    for cfg in configs:
-        end = start + len(cfg.resolved_grid()) * len(cfg.methods)
-        out.append((cfg, records[start:end]))
-        start = end
-    if start != len(records):
-        raise ValueError(f"{len(records)} records do not match the configurations, "
-                         f"which make {start}")
-    return out

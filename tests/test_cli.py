@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import seriation
+from seriation import experiments
 from seriation.cli import main
 from seriation.core import read_matrix_csv, read_permutation
 from seriation.estimators import METHODS, EstimatorConfig, fit
@@ -382,15 +383,21 @@ class TestExperiment:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 2 * 2
 
-    def test_config_needs_out_path(self, tmp_path, capsys):
+    def test_config_needs_out_path(self, tmp_path, capsys, monkeypatch):
+        # the output path is resolved before any cell is drawn
+        def run_experiment(*args, **kwargs):
+            pytest.fail("experiment ran without an output path")
+
+        monkeypatch.setattr(experiments, "run_experiment", run_experiment)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "family": "random-v-bounded", "methods": ["oracle"],
             "grid": [[4, 2]], "replications": 1,
         }))
-        code, _, err = run_cli(capsys, "experiment", "--config", cfg_path)
+        code, stdout, err = run_cli(capsys, "experiment", "--config", cfg_path)
         assert code == 2
-        assert "out" in err
+        assert stdout == ""
+        assert "no output path" in err
 
     @pytest.mark.parametrize("flags", [("--n-min", 4), ("--n-max", 99), ("--n-points", 2),
                                        ("--replications", 5), ("--seed", 7),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from seriation.experiments import (
     figure_configs,
     fit_loglog_slope,
     read_records_csv,
-    records_by_config,
     run_experiment,
     run_figure,
 )
@@ -203,6 +203,24 @@ class TestSlope:
         fit = fit_loglog_slope(self._records([1.0, 5.0, 1.0, 5.0]))
         assert 0.0 <= fit.r_squared <= 1.0
 
+    def test_generator_of_records(self):
+        records = self._records([1.0, 0.5, 0.2])
+        assert fit_loglog_slope(r for r in records) == fit_loglog_slope(records)
+
+    def test_pooled_regimes_rejected(self):
+        # figure 2 repeats each n once per m-regime: one line through all
+        # three belongs to no regime
+        cfgs = figure_configs("2-left", n_min=8, n_max=32, n_points=3, replications=1)
+        runs = [run_experiment(cfg) for cfg in cfgs]
+        oracle = [r for records in runs for r in records if r.method == "oracle"]
+        with pytest.raises(ValueError, match=r"n = 8 repeats with m = 3 and m = 8"):
+            fit_loglog_slope(oracle)
+        # records without an m attribute carry no regime to check
+        fit_loglog_slope([SimpleNamespace(n=r.n, loss_total=r.loss_total) for r in oracle])
+        for cfg, records in zip(cfgs, runs):
+            for method in cfg.methods:
+                fit_loglog_slope([r for r in records if r.method == method])
+
 
 class TestCsv:
     def test_header_only_for_empty(self, tmp_path):
@@ -266,16 +284,3 @@ class TestFigures:
         methods = {r.method for r in records}
         assert methods == {"rankscore", "oracle"}
         assert all(r.n == r.m for r in records)
-
-    def test_records_by_config(self):
-        kw = dict(n_min=8, n_max=16, n_points=2, replications=1)
-        cfgs = figure_configs("2-left", **kw)
-        records = run_figure("2-left", **kw)
-        split = records_by_config(cfgs, records)
-        assert [c for c, _ in split] == cfgs
-        assert [r for _, part in split for r in part] == records
-        for cfg, part in split:
-            assert len(part) == 2 * len(cfg.methods)
-            assert {r.m for r in part if r.n == 16} == {cfg.resolved_grid()[-1][1]}
-        with pytest.raises(ValueError, match="do not match"):
-            records_by_config(cfgs, records[:-1])
