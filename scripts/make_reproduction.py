@@ -1,11 +1,11 @@
 """Write REPRODUCTION.md: what the five figure presets show at their defaults.
 
-Runs `seriation experiment --figure NAME --slope --out FILE` once per preset
-in a fresh interpreter, then records per (regime, method) the log-log slope
-of the mean loss against n and its r², and, at the largest n of each
-regime, the loss ratios rankscore/oracle and ranksum/rankscore. The seed
-and the package, numpy and scipy versions head the file. The five presets
-take about 16 s together on a 2-core host.
+Runs `seriation experiment --figure NAME --slope --out FILE` once per preset,
+in this interpreter through `seriation.cli.main`, then records per (regime,
+method) the log-log slope of the mean loss against n and its r², and, at
+the largest n of each regime, the loss ratios rankscore/oracle and
+ranksum/rankscore. The seed and the package, numpy and scipy versions head
+the file. The five presets take about 15 s together on a 2-core host.
 
     PYTHONPATH=src python scripts/make_reproduction.py
     git diff --exit-code REPRODUCTION.md   # exit 1 if the committed ledger was stale
@@ -15,9 +15,10 @@ CHANGES.md.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
@@ -25,21 +26,22 @@ import numpy as np
 import scipy
 
 import seriation
+from seriation import cli
 from seriation.experiments import FIGURES, figure_configs, read_records_csv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEDGER = os.path.join(ROOT, "REPRODUCTION.md")
-SRC = os.path.join(ROOT, "src")
 
 
 def run_preset(name: str, out: str) -> list[dict]:
-    """One CLI call; the JSON slope lines it prints."""
-    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "seriation.cli", "experiment", "--figure", name,
-         "--slope", "--out", out],
-        env=env, capture_output=True, text=True, check=True)
-    return [json.loads(line) for line in proc.stdout.splitlines()]
+    """One in-process CLI call; the JSON slope lines it prints."""
+    argv = ["experiment", "--figure", name, "--slope", "--out", out]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise RuntimeError(f"seriation {' '.join(argv)} exited {rc}: {stderr.getvalue()}")
+    return [json.loads(line) for line in stdout.getvalue().splitlines()]
 
 
 def _ratio(losses: dict, num: str, den: str) -> str:

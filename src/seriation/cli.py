@@ -54,6 +54,9 @@ def _cmd_generate(args) -> int:
         for flag, value in (("--noise", args.noise), ("--sigma", args.sigma)):
             if value is not None:
                 raise ValueError(f"{flag} sets the noise of --obs-out, which was not given")
+    if args.custom_path is not None and args.family != "custom":
+        raise ValueError("--custom-path is the matrix of --family custom; "
+                         f"{args.family} draws its own")
     truth = synth.gen_truth(args.family, args.n, args.m, seed=args.seed,
                             blocks=args.blocks, path=args.custom_path)
     write_matrix_csv(truth, args.out)

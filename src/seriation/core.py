@@ -41,22 +41,19 @@ def check_matrix(a, name: str = "matrix") -> np.ndarray:
     Returns a 2-D, C-contiguous float64 array. Rejects anything that is not
     two-dimensional, empty, not real, or contains NaN/inf entries.
     """
-    arr = _as_float64(a, name)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must have at least one row and one column")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return _check_array(a, name, 2)
 
 
 def check_vector(y, name: str = "vector") -> np.ndarray:
-    arr = _as_float64(y, name)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    return _check_array(y, name, 1)
+
+
+def _check_array(a, name: str, ndim: int) -> np.ndarray:
+    arr = _as_float64(a, name)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if arr.size < 1:
-        raise ValueError(f"{name} must be non-empty")
+        raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -172,10 +169,14 @@ class Permutation:
 
 
 def inverse(p: Permutation) -> Permutation:
-    _check_instance(p, Permutation, "p")
+    return Permutation(_inverse_mapping(_check_instance(p, Permutation, "p")))
+
+
+def _inverse_mapping(p: Permutation) -> np.ndarray:
+    """``inverse(p).mapping``, by a scatter (argsort raised peak RSS)."""
     inv = np.empty(p.n, dtype=np.int64)
     inv[p.mapping] = np.arange(p.n, dtype=np.int64)
-    return Permutation(inv)
+    return inv
 
 
 def permute_rows(p: Permutation, a: np.ndarray) -> np.ndarray:
@@ -189,11 +190,13 @@ def _check_rows(p: Permutation, a) -> np.ndarray:
     :class:`Permutation` ``p``."""
     _check_instance(p, Permutation, "p")
     a = check_matrix(a)
-    if p.n != a.shape[0]:
-        raise ValueError(
-            f"permutation length {p.n} does not match row count {a.shape[0]}"
-        )
+    _check_length(p, a.shape[0])
     return a
+
+
+def _check_length(p: Permutation, n: int) -> None:
+    if p.n != n:
+        raise ValueError(f"permutation length {p.n} does not match row count {n}")
 
 
 def _permute_rows(p: Permutation, a: np.ndarray) -> np.ndarray:
@@ -203,9 +206,14 @@ def _permute_rows(p: Permutation, a: np.ndarray) -> np.ndarray:
     return out
 
 
-# Squared distances take their row differences in blocks of about this many
+# Passes over a matrix row by row take the rows in blocks of about this many
 # bytes, so their scratch stays cache-sized at any matrix size.
 _ROW_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(m: int) -> int:
+    """Rows per block of a float64 matrix ``m`` wide: about ``_ROW_BLOCK_BYTES``."""
+    return max(1, _ROW_BLOCK_BYTES // (8 * max(m, 1)))
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray, ia=None, ib=None) -> float:
@@ -221,7 +229,7 @@ def _sq_dist(a: np.ndarray, b: np.ndarray, ia=None, ib=None) -> float:
     """
     n = a.shape[0] if ia is None else ia.size
     m = a.shape[1]
-    step = max(1, _ROW_BLOCK_BYTES // (8 * max(m, 1)))
+    step = _block_rows(m)
     d = np.empty((min(step, n), m))
     gathered = np.empty_like(d) if ib is not None else None
     row_sq = np.empty(n)
@@ -253,16 +261,12 @@ def _loss_terms(a_hat: np.ndarray, p_hat: Permutation, a_true: np.ndarray,
     :func:`_sq_dist` gathers. Equal permutations take one pass."""
     if a_hat.shape != a_true.shape:
         raise ValueError(f"shape mismatch: {a_hat.shape} vs {a_true.shape}")
-    n = a_true.shape[0]
     for p in (p_true, p_hat):
-        if p.n != n:
-            raise ValueError(f"permutation length {p.n} does not match row count {n}")
+        _check_length(p, a_true.shape[0])
     if np.array_equal(p_hat.mapping, p_true.mapping):
         matrix = _sq_dist(a_hat, a_true)
         return matrix, 0.0, matrix
-    # inverse mappings, without building and validating two Permutations
-    hat_rows, true_rows = np.empty((2, n), dtype=np.int64)
-    hat_rows[p_hat.mapping] = true_rows[p_true.mapping] = np.arange(n)
+    hat_rows, true_rows = _inverse_mapping(p_hat), _inverse_mapping(p_true)
     return (
         _sq_dist(a_hat, a_true, hat_rows, true_rows),
         _sq_dist(a_true, a_true, hat_rows, true_rows),
@@ -281,8 +285,7 @@ def frobenius_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
     checked for finiteness: a NaN or infinite entry in either input, and an
     overflowing sum, all raise ``ValueError`` there.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
+    a, b = _as_float64(a, "a"), _as_float64(b, "b")
     if a.ndim != 2:
         raise ValueError(f"a must be 2-D, got shape {a.shape}")
     if a.shape != b.shape:

@@ -70,7 +70,7 @@ class EstimatorConfig:
     The score threshold ``tau`` may be given directly, or left None with
     ``tau_constant`` set, in which case it resolves to
     ``3 * sigma * sqrt((tau_constant + 1) * log(n*m))`` (natural log) for the
-    data at hand.
+    data at hand. Setting both is an error.
     """
 
     shape: ShapeSpec = MONOTONE
@@ -84,6 +84,10 @@ class EstimatorConfig:
         for name in ("tau", "tau_constant"):
             if getattr(self, name) is not None:
                 check_nonnegative(getattr(self, name), name)
+        if self.tau is not None and self.tau_constant is not None:
+            # an experiment config defaults tau to 6, which would win silently
+            raise ValueError("tau and tau_constant are both set; give one "
+                             '(in a config that sets tau_constant, write "tau": null)')
 
     def resolve_tau(self, n: int, m: int) -> float:
         if self.tau is not None:

@@ -285,20 +285,24 @@ def read_records_csv(path) -> list[ExperimentRecord]:
     1-based line."""
     records = []
     with open(_check_path(path), "r") as f:
-        header = f.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                # the fields in CSV_HEADER order, which is the record's
-                n, m, method, lt, lp, lm, l10, wt, seed = line.split(",")
-                records.append(ExperimentRecord(int(n), int(m), method, float(lt), float(lp),
-                                                float(lm), float(l10), float(wt), int(seed)))
-            except ValueError as e:
-                raise ValueError(f"{path}: bad record at line {lineno}: {e}") from None
+        try:
+            header = f.readline().strip()
+            if header != CSV_HEADER:
+                raise ValueError(f"{path}: unexpected header {header!r}")
+            for lineno, line in enumerate(f, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    # the fields in CSV_HEADER order, which is the record's
+                    n, m, method, lt, lp, lm, l10, wt, seed = line.split(",")
+                    records.append(ExperimentRecord(int(n), int(m), method, float(lt),
+                                                    float(lp), float(lm), float(l10),
+                                                    float(wt), int(seed)))
+                except ValueError as e:
+                    raise ValueError(f"{path}: bad record at line {lineno}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
     return records
 
 

@@ -135,8 +135,8 @@ def r_statistic(a) -> float:
     top-n selection in the order of one pass per row ``i`` over all ``l``,
     which makes the result equal to the per-row loop it replaced
     (``tests/oracles.py``). Two identical rows score 0/0 = NaN and are left
-    out. Cost: O(n^2 m / 2) entry operations, in tiles of about
-    ``core._ROW_BLOCK_BYTES`` so that the five passes over each tile stay in
+    out. Cost: O(n^2 m / 2) entry operations, in row blocks of
+    ``core._block_rows`` so that the five passes over each tile stay in
     cache, and about 8 n (n - 1) / 2 bytes of pending scores, held in chunks
     that are freed as their rows are used.
     """
@@ -155,7 +155,7 @@ def r_statistic(a) -> float:
         r1 = min(max(r1, r0 + 1), n)
         chunks.append((r0, r1, np.empty(int(tri[r1] - tri[r0]))))
         r0 = r1
-    tile = max(1, core._ROW_BLOCK_BYTES // (8 * m))
+    tile = core._block_rows(m)
     buf = np.empty((min(tile, n), m))
     sq, linf, l1 = np.empty(n), np.empty(n), np.empty(n)
     scores = np.empty(n - 1)  # row i's scores against every other row l, in l order

@@ -370,13 +370,11 @@ def _project_columns(a: np.ndarray, shape: ShapeSpec, rows=None) -> np.ndarray:
 
 
 def has_monotone_columns(a, tol: float = EPS) -> bool:
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    # rows in blocks of about core._ROW_BLOCK_BYTES, each taking one row of
-    # the next block along, so the differences never fill a whole matrix
-    step = max(1, core._ROW_BLOCK_BYTES // max(1, a[:1].nbytes))
+    a = core._as_float64(a, "a")
+    # row blocks that overlap by one row: no whole-matrix difference
+    step = core._block_rows(a.shape[-1])
     with np.errstate(over="ignore"):  # a rise past the float64 range is inf, still a rise
-        for s in range(0, n - 1, step):
+        for s in range(0, a.shape[0] - 1, step):
             if not np.all(np.diff(a[s:s + step + 1], axis=0) >= -tol):
                 return False
     return True

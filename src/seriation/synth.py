@@ -42,7 +42,6 @@ from .core import (
     check_matrix,
     check_nonnegative,
     derive_rng,
-    inverse,
     read_matrix_csv,
 )
 from .shape import _column_panels, has_monotone_columns
@@ -163,11 +162,10 @@ def _observe(truth: np.ndarray, p: Permutation, noise: np.ndarray) -> np.ndarray
     """Add ``permute_rows(p, truth)`` into ``noise`` and return it, for a
     validated truth, a permutation of its rows and a C-ordered float64
     noise matrix of its shape. IEEE addition commutes, so the bytes are
-    those of ``permute_rows(p, truth) + noise``. Rows go in blocks of about
-    ``core._ROW_BLOCK_BYTES``; a block of noise that is not finite raises
-    ``ValueError``, as a huge sigma can draw one."""
-    src = inverse(p).mapping  # row r of the observation is row src[r] of truth
-    step = max(1, core._ROW_BLOCK_BYTES // (8 * truth.shape[1]))
+    those of ``permute_rows(p, truth) + noise``. A row block of noise that
+    is not finite raises ``ValueError``, as a huge sigma can draw one."""
+    src = core._inverse_mapping(p)  # row r of the observation is row src[r] of truth
+    step = core._block_rows(truth.shape[1])
     for s in range(0, truth.shape[0], step):
         block = noise[s:s + step]
         if not np.all(np.isfinite(block)):

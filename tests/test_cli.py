@@ -93,6 +93,16 @@ class TestGenerate:
         assert err.startswith(f"error: {flags[-2]}") and "--obs-out" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_custom_path_needs_family_custom(self, tmp_path, capsys):
+        # the path would be ignored, even one that does not exist
+        code, out, err = run_cli(capsys, "generate", "--family", "triangular", "--n", 4,
+                                 "--m", 4, "--out", tmp_path / "a.csv",
+                                 "--custom-path", tmp_path / "missing.csv")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --custom-path") and "--family custom" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_huge_sigma_is_error_code(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "generate", "--family", "triangular", "--n", 4,
                                "--m", 4, "--out", tmp_path / "a.csv", "--sigma", "1e308",
@@ -480,7 +490,8 @@ class TestExperiment:
                                         {"methods": ["rankscore"], "tau": None},
                                         {"replications": 1.5},
                                         {"grid": [[4.7, 2]]},
-                                        {"sigma": 10**400}])
+                                        {"sigma": 10**400},
+                                        {"methods": ["rankscore"], "tau_constant": 1.0}])
     def test_invalid_config_is_error_code(self, tmp_path, capsys, fields):
         cfg = {"family": "random-v-bounded", "methods": ["oracle"],
                "grid": [[4, 2]], "replications": 1, **fields}

@@ -81,6 +81,11 @@ def config_json(draw):
                       n_points=st.integers(2, 3), m_rule=st.sampled_from(["n^1/2", "n"]))
     # each field is odd about once in twelve configs
     cfg = {name: draw(mostly(good, ODD_JSON, one_in=12)) for name, good in fields.items()}
+    # tau and tau_constant together are an error: keep both in about one
+    # such config in twelve, so that most rule configs still run
+    if cfg["tau"] in (6, 0.5) and cfg["tau_constant"] == 1.0 and \
+            draw(mostly(st.just(True), st.just(False), one_in=12)):
+        cfg["tau"] = None
     fault = draw(mostly(st.none(), st.sampled_from(["unknown", "missing", "list", "bare-string"])))
     if fault == "unknown":
         cfg["volume"] = 11

@@ -147,6 +147,12 @@ class TestFrobenius:
         with pytest.raises(ValueError, match="not finite"):
             frobenius_sq_dist([[1e200]], [[-1e200]])
 
+    def test_string_array_is_not_parsed(self):
+        for pair in ((np.array([["1", "2"]]), np.zeros((1, 2))),
+                     (np.zeros((1, 2)), np.array([["1", "2"]]))):
+            with pytest.raises(ValueError, match="real numbers"):
+                frobenius_sq_dist(*pair)
+
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
         permutations_of(n),
         arrays(np.float64, (n, 3), elements=finite),

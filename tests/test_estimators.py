@@ -98,6 +98,15 @@ class TestRankScore:
             with pytest.raises(ValueError):
                 EstimatorConfig(**kwargs)
 
+    def test_tau_and_tau_constant_together_rejected(self):
+        with pytest.raises(ValueError, match='both set.*"tau": null'):
+            EstimatorConfig(tau=1.0, tau_constant=2.0)
+        # the value checks come first and keep their messages
+        with pytest.raises(ValueError, match="finite"):
+            EstimatorConfig(tau=np.inf, tau_constant=2.0)
+        with pytest.raises(ValueError, match="must be a real number"):
+            EstimatorConfig(tau=1.0, tau_constant="2")
+
     def test_unimodal_shape_rejected(self):
         with pytest.raises(UnsupportedShapeError):
             rank_score(np.zeros((2, 2)), EstimatorConfig(shape=UNIMODAL, tau=1.0))

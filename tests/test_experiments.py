@@ -120,6 +120,11 @@ class TestConfig:
         tiny_config(methods=("rankscore",), tau=None, tau_constant=1.0)
         tiny_config(methods=("oracle",), tau=None)
 
+    def test_tau_constant_needs_tau_null(self):
+        # tau defaults to 6, which would otherwise override the rule
+        with pytest.raises(ValueError, match='"tau": null'):
+            tiny_config(methods=("rankscore",), tau_constant=1.0)
+
 
 class TestRunExperiment:
     def test_noiseless_oracle_has_zero_loss(self):
@@ -260,6 +265,14 @@ class TestCsv:
         path = tmp_path / "r.csv"
         path.write_text(f"{CSV_HEADER}\n4,2,oracle,1,0,1,0,0,0\n\n{record}\n")
         with pytest.raises(ValueError, match=r"r\.csv: bad record at line 4: "):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("raw", [b"\xff\n", b"%s\n4,2,oracle,1,0,1,0,0,\xff\n"],
+                             ids=["header", "record"])
+    def test_undecodable_file_names_the_path(self, tmp_path, raw):
+        path = tmp_path / "r.csv"
+        path.write_bytes(raw.replace(b"%s", CSV_HEADER.encode()))
+        with pytest.raises(ValueError, match=r"r\.csv: .*can't decode"):
             read_records_csv(path)
 
 

@@ -1,12 +1,12 @@
 """Every public callable of the package, fed malformed and unusual inputs.
 
 Each row of the table names one public callable and one argument slot; the
-other arguments are valid. Six inputs go into the slot: a list, a float32
-array, an int array, an array holding a NaN, an array with one axis too
-many and an empty array. The callable must return a value or raise a
-``ValueError`` of its own: any other exception, a ``RuntimeWarning`` (an
-error under this suite's settings) or numpy's message for an array used as
-a truth value or broadcast against the wrong shape fails the test.
+other arguments are valid. Seven inputs go into the slot: a list, a float32
+array, an int array, a complex array, an array holding a NaN, an array with
+one axis too many and an empty array. The callable must return a value or
+raise a ``ValueError`` of its own: any other exception, a ``RuntimeWarning``
+(an error under this suite's settings) or numpy's message for an array used
+as a truth value or broadcast against the wrong shape fails the test.
 """
 
 import numpy as np
@@ -38,6 +38,7 @@ def _inputs(base):
         "list": base.tolist(),
         "float32": base.astype(np.float32),
         "int": base.astype(np.int64),
+        "complex": base.astype(np.complex128),
         "nan": nan,
         "wrong shape": base[..., None],
         "empty": np.empty((0,) * base.ndim),

@@ -544,6 +544,11 @@ class TestHasMonotoneColumns:
             assert not has_monotone_columns(np.array([[0.0], [1.0], [0.5]]), tol=0.0)
             assert has_monotone_columns(np.array([[0.0], [1.0], [0.5]]), tol=0.5)
 
+    def test_complex_array_is_rejected(self):
+        # a cast would drop the imaginary parts, which fall down the column
+        with pytest.raises(ValueError, match="real numbers"):
+            has_monotone_columns(np.array([[0.0 + 1j], [1.0 + 0j]]))
+
 
 class TestShapeSpec:
     @pytest.mark.parametrize("mode", [2.5, True, np.bool_(True), "2", float("inf")])
