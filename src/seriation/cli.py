@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import experiments, metrics, synth
@@ -205,6 +206,12 @@ def _cmd_experiment(args) -> int:
         out = args.out or configs[0].out_path
         if not out:
             raise ValueError("no output path: pass --out or set out_path in the config")
+    # refused before any run; the file itself is first opened by emit_csv, so
+    # a failed run leaves an earlier records file as it was
+    if os.path.isdir(out):
+        raise ValueError(f"output path {out} is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"output path {out}: no directory {os.path.dirname(out)}")
     # one run per configuration, which keeps its own records for --slope
     runs = [(cfg, experiments.run_experiment(cfg, timing=args.timing)) for cfg in configs]
     records = [r for _, regime_records in runs for r in regime_records]

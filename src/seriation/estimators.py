@@ -22,6 +22,7 @@ from .core import (
     Permutation,
     _check_choice,
     _check_instance,
+    _check_length,
     _loss_terms,
     _permute_rows,
     _sq_dist,
@@ -39,6 +40,20 @@ EXHAUSTIVE_ROW_CAP = 8
 
 class UnsupportedShapeError(ValueError):
     """Raised when an estimator is asked for a cone it is not defined on."""
+
+
+def _check_method(method, shape: ShapeSpec, rows: int | None = None) -> None:
+    """Raise ``ValueError`` for every refusal of ``method`` that needs no
+    data: an unknown name, a cone the method does not fit (rankscore,
+    ranksum and average fit the monotone cone only; an
+    :class:`UnsupportedShapeError`), or more than ``EXHAUSTIVE_ROW_CAP``
+    rows for exhaustive search. ``rows`` None leaves the row count open."""
+    _check_choice(method, METHODS, "method")
+    if method in ("rankscore", "ranksum", "average") and shape.kind != "monotone":
+        raise UnsupportedShapeError(f"{method} fits monotone columns only, got {shape.kind}")
+    if method == "exhaustive" and rows is not None and rows > EXHAUSTIVE_ROW_CAP:
+        raise ValueError(f"exhaustive search over {rows}! row orders refused: "
+                         f"beyond n={EXHAUSTIVE_ROW_CAP} rows it is not desk scale")
 
 
 @dataclass(frozen=True)
@@ -130,11 +145,7 @@ def rank_score(y, cfg: EstimatorConfig) -> FitResult:
     fit add O(n m) time and memory.
     """
     y = check_matrix(y)
-    _check_instance(cfg, EstimatorConfig, "cfg")
-    if cfg.shape.kind != "monotone":
-        raise UnsupportedShapeError(
-            f"rank_score is defined for monotone columns only, got {cfg.shape.kind}"
-        )
+    _check_method("rankscore", _check_instance(cfg, EstimatorConfig, "cfg").shape)
     n, m = y.shape
     tau = cfg.resolve_tau(n, m)
     scores = _gap_scores(y, 2.0 * tau)
@@ -160,13 +171,8 @@ def exhaustive_ls(y, shape: ShapeSpec) -> FitResult:
     refuses more than ``EXHAUSTIVE_ROW_CAP`` rows.
     """
     y = check_matrix(y)
-    _check_instance(shape, ShapeSpec, "shape")
     n = y.shape[0]
-    if n > EXHAUSTIVE_ROW_CAP:
-        raise ValueError(
-            f"exhaustive search over {n}! row orders refused "
-            f"(cap is {EXHAUSTIVE_ROW_CAP} rows)"
-        )
+    _check_method("exhaustive", _check_instance(shape, ShapeSpec, "shape"), n)
     best: FitResult | None = None
     for order in itertools.permutations(range(n)):
         fit = _ordered_fit(y, np.array(order, dtype=np.int64), shape)
@@ -180,10 +186,7 @@ def oracle_fit(y, p_true: Permutation, shape: ShapeSpec) -> FitResult:
     y = check_matrix(y)
     _check_instance(p_true, Permutation, "p_true")
     _check_instance(shape, ShapeSpec, "shape")
-    if p_true.n != y.shape[0]:
-        raise ValueError(
-            f"permutation of {p_true.n} rows given for a matrix of {y.shape[0]} rows"
-        )
+    _check_length(p_true, y.shape[0])
     return _ordered_fit(y, p_true.mapping, shape)
 
 
@@ -200,17 +203,12 @@ def fit(method: str, y, cfg: EstimatorConfig,
         p_true: Permutation | None = None) -> FitResult:
     """Run the estimator named ``method`` (one of :data:`METHODS`) on ``y``.
 
-    ``cfg.shape`` is the target cone; ``ranksum`` and ``average`` accept the
-    monotone cone only, and ``oracle`` needs the true permutation
-    ``p_true``. Estimators are looked up by module name at call time, so a
-    rebound name (a tracing wrapper, say) is honoured.
+    ``cfg.shape`` is the target cone; ``rankscore``, ``ranksum`` and
+    ``average`` accept the monotone cone only, and ``oracle`` needs the true
+    permutation ``p_true``. Estimators are looked up by module name at call
+    time, so a rebound name (a tracing wrapper, say) is honoured.
     """
-    _check_choice(method, METHODS, "method")
-    _check_instance(cfg, EstimatorConfig, "cfg")
-    if method in ("ranksum", "average") and cfg.shape.kind != "monotone":
-        raise UnsupportedShapeError(
-            f"{method} fits monotone columns only, got {cfg.shape.kind}"
-        )
+    _check_method(method, _check_instance(cfg, EstimatorConfig, "cfg").shape)
     if method == "rankscore":
         return rank_score(y, cfg)
     if method == "ranksum":

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Permutation, _check_choice, _check_instance, _check_path, derive_rng
-from .estimators import (
-    EXHAUSTIVE_ROW_CAP,
-    METHODS,
-    EstimatorConfig,
-    estimation_losses,
-    fit,
-)
+from .estimators import EstimatorConfig, _check_method, estimation_losses, fit
 from .synth import FAMILIES, _observe, check_noise, draw_noise, draw_truth
 
 M_RULES = ("n^1/2", "n", "n^3/2")
@@ -75,8 +69,6 @@ class ExperimentConfig:
         methods = tuple(self.methods)
         if not methods:
             raise ValueError("at least one method required")
-        for m in methods:
-            _check_choice(m, METHODS, "method")
         object.__setattr__(self, "methods", methods)
         if self.out_path is not None and not isinstance(self.out_path, str):
             raise ValueError(f"out_path must be a path string, got {self.out_path!r}")
@@ -89,7 +81,7 @@ class ExperimentConfig:
             raise ValueError("replications and blocks must be >= 1")
         # sigma scales the noise of every method and the rankscore threshold;
         # all three must be finite and >= 0, as the estimator requires
-        EstimatorConfig(sigma=self.sigma, tau=self.tau, tau_constant=self.tau_constant)
+        est = EstimatorConfig(sigma=self.sigma, tau=self.tau, tau_constant=self.tau_constant)
         if "rankscore" in methods and self.tau is None and self.tau_constant is None:
             raise ValueError("rankscore needs tau or tau_constant")
         if self.grid is not None:
@@ -114,6 +106,10 @@ class ExperimentConfig:
                 raise ValueError("need 1 <= n_min <= n_max")
             if self.n_points < 2:
                 raise ValueError("n_points must be >= 2")
+        # every cell fits the cone of est, with at most the last cell's rows
+        rows = self.resolved_grid()[-1][0]
+        for method in methods:
+            _check_method(method, est.shape, rows)
 
     def resolved_grid(self) -> tuple[tuple[int, int], ...]:
         if self.grid is not None:
@@ -167,13 +163,6 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list[Experime
     byte-reproducible output.
     """
     grid = _check_instance(cfg, ExperimentConfig, "cfg").resolved_grid()
-    if "exhaustive" in cfg.methods:
-        worst = max(n for n, _ in grid)
-        if worst > EXHAUSTIVE_ROW_CAP:
-            raise ValueError(
-                f"exhaustive method on a grid with n={worst} refused: "
-                f"n! row orders beyond n={EXHAUSTIVE_ROW_CAP} is not desk scale"
-            )
     est = EstimatorConfig(sigma=cfg.sigma, tau=cfg.tau, tau_constant=cfg.tau_constant)
     records = []
     for n, m in grid:

@@ -64,16 +64,23 @@ _NOISE_STREAM = 1
 _PERMUTATION_STREAM = 2
 
 
+def _check_size(n, m) -> tuple[int, int]:
+    """``(n, m)`` as ints. Raise ``ValueError`` unless both are integers
+    >= 1: an empty matrix is no truth, noise or observation."""
+    n, m = _check_integer(n, "n"), _check_integer(m, "m")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    return n, m
+
+
 def draw_truth(family: str, n: int, m: int, rng: np.random.Generator,
                blocks: int = 5, path: str | None = None) -> np.ndarray:
     """Draw an n x m truth of ``family`` from ``rng``, checking every
     argument; `gen_truth` seeds it."""
     _check_choice(family, FAMILIES, "family")
-    n, m = _check_integer(n, "n"), _check_integer(m, "m")
+    n, m = _check_size(n, m)
     blocks = _check_integer(blocks, "blocks")
     _check_instance(rng, np.random.Generator, "rng")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
     if blocks < 1:
         raise ValueError("blocks must be >= 1")
     if family == "sparse-rows":
@@ -130,7 +137,7 @@ def draw_noise(kind: str, sigma: float, n: int, m: int,
                rng: np.random.Generator) -> np.ndarray:
     """Draw n x m noise of ``kind`` and scale ``sigma`` from ``rng``."""
     check_noise(kind, sigma)
-    n, m = _check_integer(n, "n"), _check_integer(m, "m")
+    n, m = _check_size(n, m)
     _check_instance(rng, np.random.Generator, "rng")
     if kind == "gaussian":
         return rng.normal(0.0, sigma, size=(n, m)) if sigma > 0 else np.zeros((n, m))

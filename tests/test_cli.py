@@ -240,7 +240,7 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--method", "oracle",
                                "--in", obs, "--perm", perm)
         assert code == 2
-        assert err.startswith("error:") and "10 rows" in err
+        assert err.startswith("error:") and "permutation length 10" in err
 
     def test_overflowing_unimodal_fit_is_error_code(self, tmp_path, capsys):
         obs, perm = tmp_path / "y.csv", tmp_path / "p.txt"
@@ -408,6 +408,34 @@ class TestExperiment:
         assert code == 2
         assert stdout == ""
         assert "no output path" in err
+
+    @pytest.mark.parametrize("where, message", [("no-dir/x.csv", "no directory"),
+                                                (".", "is a directory")])
+    def test_unwritable_out_refused_before_run(self, tmp_path, capsys, monkeypatch,
+                                               where, message):
+        # a path that cannot take the records is refused before any preset runs
+        def run_experiment(*args, **kwargs):
+            pytest.fail("experiment ran with an unwritable output path")
+
+        monkeypatch.setattr(experiments, "run_experiment", run_experiment)
+        code, stdout, err = run_cli(capsys, "experiment", "--figure", "2-left",
+                                    "--n-max", 64, "--out", tmp_path / where)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:") and message in err
+
+    def test_failed_run_keeps_earlier_records(self, tmp_path, capsys, monkeypatch):
+        # the records file is opened only once every run has finished
+        def run_experiment(*args, **kwargs):
+            raise ValueError("run failed")
+
+        monkeypatch.setattr(experiments, "run_experiment", run_experiment)
+        out = tmp_path / "records.csv"
+        out.write_text("earlier records\n")
+        code, _, err = run_cli(capsys, "experiment", "--figure", "2-left", "--out", out)
+        assert code == 2
+        assert "run failed" in err
+        assert out.read_text() == "earlier records\n"
 
     @pytest.mark.parametrize("flags", [("--n-min", 4), ("--n-max", 99), ("--n-points", 2),
                                        ("--replications", 5), ("--seed", 7),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import estimation_losses_reference, frobenius_sq_dist_reference
 
-from seriation import core
+from seriation import core, estimators
 from seriation.core import Permutation, derive_rng, frobenius_sq_dist, permute_rows
 from seriation.estimators import (
     METHODS,
@@ -278,6 +278,27 @@ class TestDispatch:
             assert got.p_hat == expect.p_hat
             assert np.array_equal(got.m_hat, expect.m_hat)
             assert got.sse == expect.sse
+
+    def test_fit_looks_up_estimators_by_module_name(self, monkeypatch):
+        # a wrapper bound to the module name (a tracing span, say) is reached
+        names = {"rankscore": "rank_score", "ranksum": "rank_sum",
+                 "exhaustive": "exhaustive_ls", "oracle": "oracle_fit",
+                 "average": "averaging_fit"}
+        assert set(names) == set(METHODS)
+        calls = []
+        for name in names.values():
+            def wrapper(*args, _name=name, _run=getattr(estimators, name)):
+                calls.append(_name)
+                return _run(*args)
+
+            monkeypatch.setattr(estimators, name, wrapper)
+        rng = derive_rng(13)
+        p = Permutation.random(4, rng)
+        y = rng.normal(size=(4, 2))
+        for method in METHODS:
+            before = len(calls)
+            fit(method, y, EstimatorConfig(tau=0.5), p)
+            assert calls[before:] == [names[method]]
 
     @pytest.mark.parametrize("method", ["rankscore", "ranksum", "average"])
     def test_monotone_only_methods_reject_unimodal(self, method):

@@ -148,9 +148,9 @@ class TestRunExperiment:
         assert records["exhaustive"].n == records["oracle"].n
 
     def test_exhaustive_cap_refused_before_work(self):
-        cfg = tiny_config(methods=("exhaustive",), grid=((12, 2),))
+        # refused when the config is built, so no cell can run
         with pytest.raises(ValueError, match="not desk scale"):
-            run_experiment(cfg)
+            tiny_config(methods=("exhaustive",), grid=((12, 2),))
 
     def test_rearrangement_bounds_hold_per_record(self):
         cfg = tiny_config(methods=("rankscore", "ranksum"), grid=((6, 3),),

@@ -4,8 +4,8 @@ Each row of the table names one public callable and one argument slot; the
 other arguments are valid. Seven inputs go into the slot: a list, a float32
 array, an int array, a complex array, an array holding a NaN, an array with
 one axis too many and an empty array. The callable must return a value or
-raise a ``ValueError`` of its own: any other exception, a ``RuntimeWarning``
-(an error under this suite's settings) or numpy's message for an array used
+raise a ``ValueError`` of its own: any other exception, a warning (an
+error under this suite's settings) or numpy's message for an array used
 as a truth value or broadcast against the wrong shape fails the test.
 """
 

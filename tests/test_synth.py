@@ -172,6 +172,15 @@ class TestNoise:
             with pytest.raises(ValueError, match="finite"):
                 draw_noise("rademacher", sigma, 2, 2, rng)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "none"])
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0), (-1, 2)])
+    def test_empty_size_rejected(self, kind, n, m):
+        # the size check of draw_truth: no empty noise matrix is drawn
+        with pytest.raises(ValueError, match="n and m must be >= 1"):
+            draw_noise(kind, 1.0, n, m, derive_rng(0))
+        with pytest.raises(ValueError, match="n and m must be >= 1"):
+            gen_noise(kind, 1.0, n, m)
+
 
 class TestObservation:
     def test_identity_no_noise(self):
