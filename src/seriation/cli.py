@@ -28,6 +28,15 @@ from .estimators import METHODS, EstimatorConfig, estimation_losses, fit
 from .shape import MONOTONE, UNIMODAL
 
 
+def _check_out_path(path: str) -> None:
+    """Refuse an output path that is a directory or lies in no directory.
+    Commands call it before they compute or write anything."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"output path {path}: no directory {os.path.dirname(path)}")
+
+
 def _add_generate(sub):
     p = sub.add_parser("generate", help="write a ground-truth matrix (+ optional observation)")
     p.add_argument("--family", required=True, choices=synth.FAMILIES)
@@ -58,6 +67,9 @@ def _cmd_generate(args) -> int:
     if args.custom_path is not None and args.family != "custom":
         raise ValueError("--custom-path is the matrix of --family custom; "
                          f"{args.family} draws its own")
+    for path in (args.out, args.perm_out, args.obs_out):
+        if path:
+            _check_out_path(path)
     truth = synth.gen_truth(args.family, args.n, args.m, seed=args.seed,
                             blocks=args.blocks, path=args.custom_path)
     write_matrix_csv(truth, args.out)
@@ -130,6 +142,8 @@ def _cmd_estimate(args) -> int:
                                  f"{args.method} has none")
     if args.sigma is not None and not args.tau_rule:
         raise ValueError("--sigma is the noise level of --tau-rule, which was not given")
+    if args.fitted_out:
+        _check_out_path(args.fitted_out)
     y = read_matrix_csv(args.observation)
     n, m = y.shape
     p_true = read_permutation(args.perm) if args.perm else None
@@ -151,9 +165,11 @@ def _cmd_estimate(args) -> int:
     if args.truth:
         losses = estimation_losses(result, p_true, read_matrix_csv(args.truth))
         summary["losses"] = dataclasses.asdict(losses)  # total, perm_only, matrix_only
-    print(json.dumps(summary, allow_nan=False))
+    line = json.dumps(summary, allow_nan=False)
+    # a call that fails prints nothing
     if args.fitted_out:
         write_matrix_csv(result.m_hat, args.fitted_out)
+    print(line)
     return 0
 
 
@@ -208,10 +224,7 @@ def _cmd_experiment(args) -> int:
             raise ValueError("no output path: pass --out or set out_path in the config")
     # refused before any run; the file itself is first opened by emit_csv, so
     # a failed run leaves an earlier records file as it was
-    if os.path.isdir(out):
-        raise ValueError(f"output path {out} is a directory")
-    if not os.path.isdir(os.path.dirname(out) or "."):
-        raise ValueError(f"output path {out}: no directory {os.path.dirname(out)}")
+    _check_out_path(out)
     # one run per configuration, which keeps its own records for --slope
     runs = [(cfg, experiments.run_experiment(cfg, timing=args.timing)) for cfg in configs]
     records = [r for _, regime_records in runs for r in regime_records]

@@ -321,13 +321,37 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 def write_matrix_csv(a: np.ndarray, path) -> None:
+    """Write ``a`` as matrix CSV, each entry as ``%.17g``.
+
+    A column of a fitted matrix holds a few dozen distinct values, one of a
+    drawn matrix n. When the first column holds at most n / 4, each distinct
+    value of a row block is formatted once, with the same bytes.
+    """
     a = check_matrix(a)
+    by_value = 4 * np.unique(a[:, 0]).size <= a.shape[0]
+    with open(_check_path(path), "w", newline="\n") as f:
+        (_write_csv_by_value if by_value else _write_csv_rows)(a, f)
+
+
+def _write_csv_rows(a: np.ndarray, f) -> None:
     # one % per row; a whole-matrix tolist() or join costs tens of MB at
     # 2048 x 256
     fmt = ",".join(["%.17g"] * a.shape[1]) + "\n"
-    with open(_check_path(path), "w", newline="\n") as f:
-        for row in a:
-            f.write(fmt % tuple(row.tolist()))
+    for row in a:
+        f.write(fmt % tuple(row.tolist()))
+
+
+def _write_csv_by_value(a: np.ndarray, f) -> None:
+    """:func:`_write_csv_rows` with each distinct float of a row block
+    formatted once. Floats are told apart by their bits, so -0.0 and 0.0
+    keep their own strings."""
+    step = _block_rows(a.shape[1])
+    for s in range(0, a.shape[0], step):
+        block = a[s:s + step]
+        bits, at = np.unique(block.view(np.int64), return_inverse=True)
+        text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+        for row in text[at.reshape(block.shape)]:
+            f.write(",".join(row.tolist()) + "\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -16,6 +16,8 @@ Three scalars summarize how hard a monotone matrix is to recover from noise:
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +98,23 @@ def variation(a) -> tuple[float, np.ndarray]:
 # triangle array (17 MB at n = 2048) raised the CLI pipeline's peak RSS from
 # about 120 to 133 MB, most likely because freeing it lifts glibc's dynamic
 # mmap threshold and the 4 MB arrays of the later commands then fragment the
-# heap.
+# heap. No other scratch array of R is larger either.
 _R_CHUNK_BYTES = 1 << 21
+
+# Threads that score pairs, the calling one included: one per CPU this
+# process may run on, and at most 4, so that their scratch stays a few MB.
+# numpy releases the GIL inside the ufuncs of the row kernel.
+_R_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+
+# Rows scored by the threads between two joins, at most; the calling thread
+# then feeds them to the selection in row order.
+_R_BLOCK_ROWS = 64
+
+# A thread's tile is this many row blocks of core._block_rows, about 1 MB.
+# With 256 KB tiles, two threads gained only 1.05x on two cores: the GIL
+# handoff of every numpy call outweighed the call.
+_R_TILE_BLOCKS = 4
 
 
 # Squares of numbers outside [2^-500, 2^500] may under- or overflow float64.
@@ -119,6 +136,77 @@ def _scaled_scores(a: np.ndarray, i: int, rows: np.ndarray) -> np.ndarray:
     return np.minimum(sq, a.shape[1] * sq / d.sum(axis=1) ** 2)
 
 
+def _score_row(a: np.ndarray, i: int, out: np.ndarray, scratch, signed: bool) -> None:
+    """Scores of row ``i`` against rows ``i + 1, ..., n - 1``, in that order,
+    into ``out``. ``scratch`` is one thread's tile ``buf`` and its three
+    length-n arrays. ``signed`` says some difference ``a[l] - a[i]``, l > i,
+    may be negative; otherwise each is +-0.0 or positive and is taken as
+    it is, without ``abs``. A -0.0 (``-0.0 - +0.0``) then stays, but it
+    changes no score: a row of zeros scores NaN either way, and beside a
+    positive entry every sum and max is the same float."""
+    n, m = a.shape
+    buf, sq, linf, l1 = scratch
+    tile = buf.shape[0]
+    # 0/0 where rows agree; overflow and underflow where they differ by too
+    # much or too little, rescored below
+    for t0 in range(i + 1, n, tile):
+        t1 = min(t0 + tile, n)
+        u = buf[:t1 - t0]
+        np.subtract(a[t0:t1], a[i], out=u)
+        if signed:
+            np.abs(u, out=u)
+        np.einsum("ij,ij->i", u, u, out=sq[t0:t1])
+        np.fmax.reduce(u, axis=1, out=linf[t0:t1])  # no NaN: the rows are finite
+        np.add.reduce(u, axis=1, out=l1[t0:t1])
+    s2 = sq[i + 1:]
+    np.minimum(s2 / linf[i + 1:]**2, m * s2 / l1[i + 1:]**2, out=out)
+    # every other pair of distinct rows has ||u||_inf > 2^-500 and
+    # ||u||_1 < 2^500 / m, so it scores a finite float: ||u||_inf^2 <=
+    # ||u||^2 <= ||u||_inf ||u||_1 <= ||u||_1^2 puts each square in
+    # (2^-1000, 2^1000 / m^2)
+    d_max = linf[i + 1:]
+    far = (l1[i + 1:] >= _SQUARE_SAFE_HI / m) | ((d_max > 0.0) & (d_max <= _SQUARE_SAFE_LO))
+    if far.any():
+        out[far] = _scaled_scores(a, i, i + 1 + np.flatnonzero(far))
+
+
+def _score_rows(a: np.ndarray, rows, block: np.ndarray, b0: int, signed: bool,
+                scratch) -> None:
+    """Score each row ``i`` that this thread takes from the shared iterator
+    ``rows`` into ``block[i - b0, i:]``."""
+    # numpy's error state is a context variable, which a new thread does not
+    # inherit
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in rows:
+            _score_row(a, i, block[i - b0, i:], scratch, signed)
+
+
+def _in_threads(fn, args: tuple, scratches: list) -> None:
+    """Call ``fn(*args, s)`` for every ``s`` in ``scratches`` at once: the
+    first on the calling thread, each other on a thread of its own. Returns
+    when every call has returned, and raises the first exception that one
+    raised; no thread is left running either way."""
+    errors = []
+
+    def run(scratch):
+        try:
+            fn(*args, scratch)
+        except BaseException as e:  # raised again on the calling thread
+            errors.append(e)
+
+    threads = []
+    try:
+        for scratch in scratches[1:]:
+            threads.append(threading.Thread(target=run, args=(scratch,)))
+            threads[-1].start()
+        fn(*args, scratches[0])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def r_statistic(a) -> float:
     """Average of the ``n`` largest pair scores over ordered pairs of
     non-identical rows of a column-increasing matrix.
@@ -135,15 +223,22 @@ def r_statistic(a) -> float:
     top-n selection in the order of one pass per row ``i`` over all ``l``,
     which makes the result equal to the per-row loop it replaced
     (``tests/oracles.py``). Two identical rows score 0/0 = NaN and are left
-    out. Cost: O(n^2 m / 2) entry operations, in row blocks of
-    ``core._block_rows`` so that the five passes over each tile stay in
-    cache, and about 8 n (n - 1) / 2 bytes of pending scores, held in chunks
-    that are freed as their rows are used.
+    out.
+
+    Rows go in blocks of ``_R_BLOCK_ROWS``. Up to ``_R_WORKERS`` threads
+    take a block's rows one at a time and score each against the rows
+    after it, in tiles of ``_R_TILE_BLOCKS`` times ``core._block_rows``
+    rows, each thread with its own scratch. Then the calling thread alone
+    hands the scores on and runs the selection, row by row in order, so the
+    result does not depend on the thread count. Cost: O(n^2 m / 2) entry
+    operations, and about 8 n (n - 1) / 2 bytes of pending scores, held in
+    chunks that are freed as their rows are used.
     """
     a = check_matrix(a)
     if not has_monotone_columns(a):
         raise ValueError("r_statistic requires column-increasing input")
     n, m = a.shape
+    signed = not has_monotone_columns(a, tol=0.0)
     # row l of the triangle holds pairs (i, l) for i < l, from entry tri[l]
     tri = np.arange(n + 1, dtype=np.int64)
     tri = tri * (tri - 1) // 2
@@ -155,46 +250,32 @@ def r_statistic(a) -> float:
         r1 = min(max(r1, r0 + 1), n)
         chunks.append((r0, r1, np.empty(int(tri[r1] - tri[r0]))))
         r0 = r1
-    tile = core._block_rows(m)
-    buf = np.empty((min(tile, n), m))
-    sq, linf, l1 = np.empty(n), np.empty(n), np.empty(n)
-    scores = np.empty(n - 1)  # row i's scores against every other row l, in l order
+    step = max(1, min(_R_BLOCK_ROWS, cap // max(n - 1, 1)))
+    # block row i - b0 holds row i's scores against every other row l, in l order
+    block = np.empty((min(step, n), n - 1))
+    tile = min(_R_TILE_BLOCKS * core._block_rows(m), n)
+    scratches = [(np.empty((tile, m)), np.empty(n), np.empty(n), np.empty(n))
+                 for _ in range(min(_R_WORKERS, step))]
     top = np.empty(0)
-    for i in range(n):
-        if i > 0:
-            r0, r1, held = chunks[0]
-            at = int(tri[i] - tri[r0])
-            scores[:i] = held[at:at + i]
-            if i == r1 - 1:
-                del chunks[0]
-        # 0/0 where rows agree; overflow and underflow where they differ
-        # by too much or too little, rescored below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for t0 in range(i + 1, n, tile):
-                t1 = min(t0 + tile, n)
-                u = buf[:t1 - t0]
-                np.subtract(a[t0:t1], a[i], out=u)
-                np.abs(u, out=u)
-                np.einsum("ij,ij->i", u, u, out=sq[t0:t1])
-                np.maximum.reduce(u, axis=1, out=linf[t0:t1])
-                np.add.reduce(u, axis=1, out=l1[t0:t1])
-            s2 = sq[i + 1:]
-            np.minimum(s2 / linf[i + 1:]**2, m * s2 / l1[i + 1:]**2, out=scores[i:])
-        # every other pair of distinct rows has ||u||_inf > 2^-500 and
-        # ||u||_1 < 2^500 / m, so it scores a finite float: ||u||_inf^2 <=
-        # ||u||^2 <= ||u||_inf ||u||_1 <= ||u||_1^2 puts each square in
-        # (2^-1000, 2^1000 / m^2)
-        d_max = linf[i + 1:]
-        far = (l1[i + 1:] >= _SQUARE_SAFE_HI / m) | ((d_max > 0.0) & (d_max <= _SQUARE_SAFE_LO))
-        if far.any():
-            scores[i:][far] = _scaled_scores(a, i, i + 1 + np.flatnonzero(far))
-        for r0, r1, held in chunks:
-            lo = max(r0, i + 1)
-            held[tri[lo:r1] - tri[r0] + i] = scores[lo - 1:r1 - 1]
-        picked = scores[~np.isnan(scores)]
-        top = np.concatenate([top, picked])
-        if top.size > n:
-            top = np.partition(top, top.size - n)[-n:]
+    for b0 in range(0, n, step):
+        b1 = min(b0 + step, n)
+        _in_threads(_score_rows, (a, iter(range(b0, b1)), block, b0, signed),
+                    scratches[:b1 - b0])
+        for i in range(b0, b1):
+            scores = block[i - b0]
+            if i > 0:
+                r0, r1, held = chunks[0]
+                at = int(tri[i] - tri[r0])
+                scores[:i] = held[at:at + i]
+                if i == r1 - 1:
+                    del chunks[0]
+            for r0, r1, held in chunks:
+                lo = max(r0, i + 1)
+                held[tri[lo:r1] - tri[r0] + i] = scores[lo - 1:r1 - 1]
+            picked = scores[~np.isnan(scores)]
+            top = np.concatenate([top, picked])
+            if top.size > n:
+                top = np.partition(top, top.size - n)[-n:]
     if top.size == 0:
         return 0.0
     r = float(np.sum(top)) / n

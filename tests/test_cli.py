@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import seriation
-from seriation import experiments
+from seriation import cli, experiments
 from seriation.cli import main
 from seriation.core import read_matrix_csv, read_permutation
 from seriation.estimators import METHODS, EstimatorConfig, fit
@@ -46,6 +46,21 @@ class TestGenerate:
         assert read_permutation(pf) == p
         y = gen_observation(truth, p, gen_noise("gaussian", 0.5, 5, 3, seed=9))
         assert np.array_equal(read_matrix_csv(obs), y)
+
+    # every output path is checked before anything is drawn or written
+    @pytest.mark.parametrize("flag, where, message", [
+        ("--obs-out", "nodir/y.csv", "no directory"), ("--perm-out", "nodir/p.txt", "no directory"),
+        ("--out", "nodir/a.csv", "no directory"), ("--obs-out", ".", "is a directory")])
+    def test_bad_output_path_writes_nothing(self, tmp_path, capsys, monkeypatch, flag,
+                                            where, message):
+        monkeypatch.chdir(tmp_path)
+        paths = {"--out": "a.csv", "--perm-out": "p.txt", "--obs-out": "y.csv", flag: where}
+        code, out, err = run_cli(capsys, "generate", "--family", "triangular", "--n", 4,
+                                 "--m", 4, *[x for kv in paths.items() for x in kv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert sorted(os.listdir(tmp_path)) == []
 
     def test_reproducible(self, tmp_path, capsys):
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -274,6 +289,32 @@ class TestEstimate:
         payload = json.loads(out)
         assert payload["losses"]["total"] == 0.0
         assert np.array_equal(read_matrix_csv(fitted), read_matrix_csv(obs))
+
+    # the fitted path is checked before the fit, and the summary is printed
+    # only once the fitted matrix is written
+    @pytest.mark.parametrize("where, message", [("nodir/f.csv", "no directory"),
+                                                (".", "is a directory")])
+    def test_bad_fitted_path_prints_nothing(self, instance, tmp_path, capsys, where,
+                                            message):
+        _, _, obs = instance
+        code, out, err = run_cli(capsys, "estimate", "--method", "ranksum", "--in", obs,
+                                 "--fitted-out", tmp_path / where)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    def test_failed_fitted_write_prints_nothing(self, instance, tmp_path, capsys,
+                                                monkeypatch):
+        def write_matrix_csv(a, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_matrix_csv", write_matrix_csv)
+        _, _, obs = instance
+        code, out, err = run_cli(capsys, "estimate", "--method", "ranksum", "--in", obs,
+                                 "--fitted-out", tmp_path / "f.csv")
+        assert code == 2
+        assert out == ""
+        assert "disk full" in err
 
     def test_truth_requires_perm(self, tmp_path, capsys):
         # a noiseless instance that rankscore recovers exactly: scored against
@@ -581,7 +622,8 @@ import json, resource, sys, tempfile, os
 import numpy as np
 import seriation, seriation.cli
 seriation.cli.build_parser()
-seen = {"start-up": "scipy" in sys.modules}
+seen = {"start-up": "scipy" in sys.modules,
+        "concurrent.futures at start-up": "concurrent.futures" in sys.modules}
 with tempfile.TemporaryDirectory() as d:
     a, p, y = (os.path.join(d, f) for f in ("a.csv", "p.txt", "y.csv"))
     for name, argv in [
@@ -626,6 +668,7 @@ class TestStartup:
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stderr.splitlines()[-1]) == {
             "start-up": False,
+            "concurrent.futures at start-up": False,
             "generate": False,
             "metrics": False,
             "estimate unimodal oracle": False,

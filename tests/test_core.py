@@ -1,4 +1,6 @@
+import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import read_matrix_csv_reference
 
+from seriation import core
 from seriation.core import (
     Permutation,
     check_matrix,
@@ -244,6 +247,34 @@ class TestTextFormats:
     def test_matrix_csv_bytes_match_per_value_format(self, tmp_path_factory, a):
         path = tmp_path_factory.mktemp("csv") / "a.csv"
         write_matrix_csv(a, path)
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in a)
+        assert path.read_bytes() == expected.encode()
+
+    # a few values, signed zeros among them, repeat across row blocks of one
+    # row up to the whole matrix: formatting each distinct value of a block
+    # once gives the bytes of formatting every entry
+    @given(st.integers(1, 40).flatmap(lambda n: st.integers(1, 5).flatmap(
+        lambda m: arrays(np.float64, (n, m), elements=st.sampled_from(
+            [-0.0, 0.0, 0.1, -2.5, 5e-324, 1.7976931348623157e308, 1 / 3])))),
+        st.sampled_from([8, 8 * 7, core._ROW_BLOCK_BYTES]))
+    def test_matrix_csv_by_value_bytes(self, a, block_bytes):
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in a)
+        out = io.StringIO()
+        with mock.patch.object(core, "_ROW_BLOCK_BYTES", block_bytes):
+            core._write_csv_by_value(a, out)
+        assert out.getvalue() == expected
+
+    # a first column with at most n / 4 distinct values, as in a fitted
+    # matrix, takes the by-value writer; a drawn one does not
+    @pytest.mark.parametrize("levels, by_value", [(5, True), (6, False)])
+    def test_matrix_csv_writer_choice(self, tmp_path, levels, by_value):
+        a = np.sort(derive_rng(10).normal(size=(20, 3)), axis=0)
+        a[:, 0] = np.arange(20) % levels
+        path = tmp_path / "a.csv"
+        with mock.patch.object(core, "_write_csv_by_value",
+                               wraps=core._write_csv_by_value) as writer:
+            write_matrix_csv(a, path)
+        assert writer.called == by_value
         expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in a)
         assert path.read_bytes() == expected.encode()
 

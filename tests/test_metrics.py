@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -157,8 +159,9 @@ class TestRStatistic:
         assert rep.r_value == 1.0
         assert rep.r_degenerate
 
-    # tiles of one row up to the whole matrix and triangle chunks of one
-    # entry up to the default size; integer draws give ties and identical
+    # tiles of a few rows up to the whole matrix, triangle chunks of one
+    # entry up to the default size (which also bound the rows per block) and
+    # one to three scoring threads; integer draws give ties and identical
     # rows, and "step-down" columns decrease by less than EPS
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([1, 2, 3, 17, 64, 129, 257]),
@@ -166,9 +169,10 @@ class TestRStatistic:
            kind=st.sampled_from(["normal", "integers", "identical", "step-down"]),
            tile_bytes=st.sampled_from([8, 24, 8 * 64, core._ROW_BLOCK_BYTES]),
            chunk_bytes=st.sampled_from([8, 80, 4096, metrics._R_CHUNK_BYTES]),
+           workers=st.sampled_from([1, 2, 3]),
            seed=st.integers(0, 2**32 - 1))
     def test_r_statistic_matches_reference(self, n, m, kind, tile_bytes, chunk_bytes,
-                                           seed):
+                                           workers, seed):
         rng = np.random.default_rng(seed)
         if kind == "normal":
             a = np.sort(rng.normal(size=(n, m)), axis=0)
@@ -181,11 +185,68 @@ class TestRStatistic:
                 a = a - 5e-10 * (rng.random((n, m)) < 0.3)
         assert has_monotone_columns(a)
         with mock.patch.object(core, "_ROW_BLOCK_BYTES", tile_bytes), \
-                mock.patch.object(metrics, "_R_CHUNK_BYTES", chunk_bytes):
+                mock.patch.object(metrics, "_R_CHUNK_BYTES", chunk_bytes), \
+                mock.patch.object(metrics, "_R_WORKERS", workers):
             r = r_statistic(a)
         assert r == r_statistic_reference(a)
         if kind == "identical" or n == 1:
             assert r == 0.0
+
+    # an EPS-sized negative step is column-increasing within EPS, so its
+    # differences go through abs; a step from +0.0 down to -0.0 is not
+    # negative, so those differences are taken as they are, -0.0 included
+    @pytest.mark.parametrize("step", ["eps-down", "signed-zero"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bits_on_both_difference_paths(self, step, workers):
+        a = np.sort(derive_rng(22).integers(-2, 3, size=(70, 6)), axis=0) * 0.5
+        if step == "eps-down":
+            a[40:, 2] -= 5e-10
+        else:
+            a[:, 4] = np.where(np.arange(70) < 35, 0.0, -0.0)
+        assert has_monotone_columns(a) and \
+            has_monotone_columns(a, tol=0.0) == (step == "signed-zero")
+        with mock.patch.object(metrics, "_R_WORKERS", workers), \
+                mock.patch.object(core, "_ROW_BLOCK_BYTES", 8 * 6 * 3):
+            assert r_statistic(a) == r_statistic_reference(a)
+
+    # more threads than cores, switching as often as the interpreter allows:
+    # a row scored twice or never would change the bits
+    def test_bits_with_more_threads_than_cores(self):
+        a = np.sort(derive_rng(23).normal(size=(200, 9)), axis=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(metrics, "_R_WORKERS", 7), \
+                    mock.patch.object(core, "_ROW_BLOCK_BYTES", 8 * 9 * 2):
+                r = r_statistic(a)
+        finally:
+            sys.setswitchinterval(interval)
+        assert r == r_statistic_reference(a)
+
+    # a scoring thread's exception reaches the caller as itself, and so does
+    # the calling thread's own; neither leaves a thread running
+    @pytest.mark.parametrize("where", ["scoring thread", "calling thread"])
+    def test_kernel_exception_reaches_the_caller(self, where):
+        a = np.sort(derive_rng(24).normal(size=(100, 4)), axis=0)
+        raised = []
+        kernel = metrics._score_row
+
+        def failing(*args):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (where == "calling thread"):
+                raised.append(RuntimeError(f"kernel failed on the {where}"))
+                raise raised[-1]
+            if not raised:
+                threading.Event().wait(0.01)  # the other thread takes a row meanwhile
+            kernel(*args)
+
+        threads = threading.active_count()
+        with mock.patch.object(metrics, "_R_WORKERS", 2), \
+                mock.patch.object(metrics, "_score_row", failing), \
+                pytest.raises(RuntimeError) as caught:
+            r_statistic(a)
+        assert caught.value is raised[0]
+        assert threading.active_count() == threads
 
     # row differences whose squares underflow (2^-900) or overflow (2^600,
     # and past the float64 range at 2^1023); powers of two scale exactly
