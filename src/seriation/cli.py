@@ -29,8 +29,11 @@ from .shape import MONOTONE, UNIMODAL
 
 
 def _check_out_path(path: str) -> None:
-    """Refuse an output path that is a directory or lies in no directory.
-    Commands call it before they compute or write anything."""
+    """Refuse an output path that is empty, is a directory or lies in no
+    directory. Commands call it on every output flag that is given, before
+    they compute or write anything."""
+    if not path:
+        raise ValueError("output path is empty")
     if os.path.isdir(path):
         raise ValueError(f"output path {path} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -60,7 +63,7 @@ def _cmd_generate(args) -> int:
     sigma = 1.0 if args.sigma is None else args.sigma
     # checked before anything is drawn or written, even if no noise is drawn
     synth.check_noise(noise, sigma)
-    if not args.obs_out:
+    if args.obs_out is None:
         for flag, value in (("--noise", args.noise), ("--sigma", args.sigma)):
             if value is not None:
                 raise ValueError(f"{flag} sets the noise of --obs-out, which was not given")
@@ -68,16 +71,16 @@ def _cmd_generate(args) -> int:
         raise ValueError("--custom-path is the matrix of --family custom; "
                          f"{args.family} draws its own")
     for path in (args.out, args.perm_out, args.obs_out):
-        if path:
+        if path is not None:
             _check_out_path(path)
     truth = synth.gen_truth(args.family, args.n, args.m, seed=args.seed,
                             blocks=args.blocks, path=args.custom_path)
     write_matrix_csv(truth, args.out)
-    if args.perm_out or args.obs_out:
+    if args.perm_out is not None or args.obs_out is not None:
         p = synth.gen_permutation(args.n, args.seed)
-        if args.perm_out:
+        if args.perm_out is not None:
             write_permutation(p, args.perm_out)
-        if args.obs_out:
+        if args.obs_out is not None:
             # the noise is not kept: the observation is built in its buffer
             y = synth._observe(truth, p, synth.gen_noise(noise, sigma, args.n, args.m, args.seed))
             write_matrix_csv(y, args.obs_out)
@@ -142,7 +145,7 @@ def _cmd_estimate(args) -> int:
                                  f"{args.method} has none")
     if args.sigma is not None and not args.tau_rule:
         raise ValueError("--sigma is the noise level of --tau-rule, which was not given")
-    if args.fitted_out:
+    if args.fitted_out is not None:
         _check_out_path(args.fitted_out)
     y = read_matrix_csv(args.observation)
     n, m = y.shape
@@ -167,7 +170,7 @@ def _cmd_estimate(args) -> int:
         summary["losses"] = dataclasses.asdict(losses)  # total, perm_only, matrix_only
     line = json.dumps(summary, allow_nan=False)
     # a call that fails prints nothing
-    if args.fitted_out:
+    if args.fitted_out is not None:
         write_matrix_csv(result.m_hat, args.fitted_out)
     print(line)
     return 0
@@ -198,7 +201,7 @@ def _cmd_experiment(args) -> int:
     preset = {k: getattr(args, k) for k in _PRESET_KEYS if getattr(args, k) is not None}
     if args.figure:
         configs = experiments.figure_configs(args.figure, **preset)
-        out = args.out or f"figure-{args.figure}.csv"
+        out = f"figure-{args.figure}.csv" if args.out is None else args.out
     else:
         if preset:
             flags = ", ".join("--" + k.replace("_", "-") for k in preset)
@@ -219,8 +222,8 @@ def _cmd_experiment(args) -> int:
         if missing:
             raise ValueError(f"missing config fields {sorted(missing)}")
         configs = [experiments.ExperimentConfig(**raw)]
-        out = args.out or configs[0].out_path
-        if not out:
+        out = configs[0].out_path if args.out is None else args.out
+        if out is None:
             raise ValueError("no output path: pass --out or set out_path in the config")
     # refused before any run; the file itself is first opened by emit_csv, so
     # a failed run leaves an earlier records file as it was

@@ -156,6 +156,7 @@ class Permutation:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
+        _check_instance(rng, np.random.Generator, "rng")
         # an array n would be shuffled instead of read as a length
         return cls(rng.permutation(_check_integer(n, "n")).astype(np.int64))
 
@@ -304,14 +305,19 @@ def frobenius_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def derive_rng(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic generator for ``seed`` and an integer derivation path."""
+def _check_seed(seed) -> int:
+    """``seed`` as an int. Raise ``ValueError`` unless it is an integer in
+    [0, 2^64), the seeds that :func:`derive_rng` takes."""
     seed = _check_integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
-    ss = np.random.SeedSequence(entropy=[seed, *[_check_integer(k, "seed path entry")
-                                                 for k in path]])
-    return np.random.Generator(np.random.Philox(ss))
+    return seed
+
+
+def derive_rng(seed: int, *path: int) -> np.random.Generator:
+    """Deterministic generator for ``seed`` and an integer derivation path."""
+    entropy = [_check_seed(seed), *(_check_integer(k, "seed path entry") for k in path)]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=entropy)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, _check_choice, _check_instance, _check_path, derive_rng
+from .core import (Permutation, _check_choice, _check_instance, _check_path, _check_seed,
+                   derive_rng)
 from .estimators import EstimatorConfig, _check_method, estimation_losses, fit
 from .synth import FAMILIES, _observe, check_noise, draw_noise, draw_truth
 
@@ -79,6 +80,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1 or self.blocks < 1:
             raise ValueError("replications and blocks must be >= 1")
+        _check_seed(self.seed)  # else no run could draw
         # sigma scales the noise of every method and the rankscore threshold;
         # all three must be finite and >= 0, as the estimator requires
         est = EstimatorConfig(sigma=self.sigma, tau=self.tau, tau_constant=self.tau_constant)

@@ -93,12 +93,13 @@ def variation(a) -> tuple[float, np.ndarray]:
     return v, per_column
 
 
-# The scores of pairs (i, l), i < l, wait for row l's turn in a lower
-# triangle cut into chunks of at most this many bytes of scores. A single
+# Bytes of scores in one scratch array of R, at most: the rows of a block
+# are as many as keep the block buffer within it, and so is the panel in
+# which the pairs (l, i), l < i, wait for the block of row i. A single
 # triangle array (17 MB at n = 2048) raised the CLI pipeline's peak RSS from
 # about 120 to 133 MB, most likely because freeing it lifts glibc's dynamic
 # mmap threshold and the 4 MB arrays of the later commands then fragment the
-# heap. No other scratch array of R is larger either.
+# heap.
 _R_CHUNK_BYTES = 1 << 21
 
 # Threads that score pairs, the calling one included: one per CPU this
@@ -229,28 +230,27 @@ def r_statistic(a) -> float:
     take a block's rows one at a time and score each against the rows
     after it, in tiles of ``_R_TILE_BLOCKS`` times ``core._block_rows``
     rows, each thread with its own scratch. Then the calling thread alone
-    hands the scores on and runs the selection, row by row in order, so the
+    copies the block's scores against each later block into that block's
+    pending panel and runs the selection, row by row in order, so the
     result does not depend on the thread count. Cost: O(n^2 m / 2) entry
-    operations, and about 8 n (n - 1) / 2 bytes of pending scores, held in
-    chunks that are freed as their rows are used.
+    operations, and about 8 n (n - 1) / 2 bytes of pending scores, one
+    panel of at most ``_R_CHUNK_BYTES`` per block, freed when its block
+    starts.
     """
     a = check_matrix(a)
     if not has_monotone_columns(a):
         raise ValueError("r_statistic requires column-increasing input")
     n, m = a.shape
     signed = not has_monotone_columns(a, tol=0.0)
-    # row l of the triangle holds pairs (i, l) for i < l, from entry tri[l]
-    tri = np.arange(n + 1, dtype=np.int64)
-    tri = tri * (tri - 1) // 2
     cap = _R_CHUNK_BYTES // 8
-    chunks = []  # (first row, end row, scores), in row order
-    r0 = 1
-    while r0 < n:
-        r1 = int(np.searchsorted(tri, tri[r0] + cap, side="right")) - 1
-        r1 = min(max(r1, r0 + 1), n)
-        chunks.append((r0, r1, np.empty(int(tri[r1] - tri[r0]))))
-        r0 = r1
     step = max(1, min(_R_BLOCK_ROWS, cap // max(n - 1, 1)))
+    # held[c0][l, i - c0] is the score of pair (l, i), l < c0, for row i of
+    # the block that starts at c0. Made before the other scratch and freed
+    # as their blocks start, the panels leave the heap free at the top when
+    # the call returns; made after the block buffer, or all kept to the
+    # end, they stayed resident and the CLI pipeline's peak RSS rose by up
+    # to 8 MB.
+    held = {c0: np.empty((c0, min(c0 + step, n) - c0)) for c0 in range(0, n, step)}
     # block row i - b0 holds row i's scores against every other row l, in l order
     block = np.empty((min(step, n), n - 1))
     tile = min(_R_TILE_BLOCKS * core._block_rows(m), n)
@@ -261,17 +261,14 @@ def r_statistic(a) -> float:
         b1 = min(b0 + step, n)
         _in_threads(_score_rows, (a, iter(range(b0, b1)), block, b0, signed),
                     scratches[:b1 - b0])
+        earlier = held.pop(b0)
+        for c0, panel in held.items():
+            panel[b0:b1] = block[:b1 - b0, c0 - 1:min(c0 + step, n) - 1]
         for i in range(b0, b1):
             scores = block[i - b0]
-            if i > 0:
-                r0, r1, held = chunks[0]
-                at = int(tri[i] - tri[r0])
-                scores[:i] = held[at:at + i]
-                if i == r1 - 1:
-                    del chunks[0]
-            for r0, r1, held in chunks:
-                lo = max(r0, i + 1)
-                held[tri[lo:r1] - tri[r0] + i] = scores[lo - 1:r1 - 1]
+            scores[:b0] = earlier[:, i - b0]
+            if i > b0:  # column -1 does not exist when n = 1
+                scores[b0:i] = block[:i - b0, i - 1]
             picked = scores[~np.isnan(scores)]
             top = np.concatenate([top, picked])
             if top.size > n:

@@ -91,7 +91,8 @@ def plan(d: str) -> list[tuple[str, list[str], list[str]]]:
     cases.append(("metrics-truth", ["metrics", a], []))
     cases.append(("metrics-observation", ["metrics", y], []))
     cases.append(("metrics-observation-quantized", ["metrics", y, "--quantize", "0.25"], []))
-    # 800 x 16, five blocks: identical rows, and pending R scores in two chunks
+    # 800 x 16, five blocks: identical rows, and R's rows in 13 blocks, whose
+    # pending scores wait in one panel per block
     blocks = p("blocks-A.csv")
     cases.append(("generate-blocks", ["generate", "--family", "random-k-blocks", "--n", "800",
                                       "--m", "16", "--seed", "4", "--out", blocks], [blocks]))

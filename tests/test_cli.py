@@ -50,7 +50,8 @@ class TestGenerate:
     # every output path is checked before anything is drawn or written
     @pytest.mark.parametrize("flag, where, message", [
         ("--obs-out", "nodir/y.csv", "no directory"), ("--perm-out", "nodir/p.txt", "no directory"),
-        ("--out", "nodir/a.csv", "no directory"), ("--obs-out", ".", "is a directory")])
+        ("--out", "nodir/a.csv", "no directory"), ("--obs-out", ".", "is a directory"),
+        ("--out", "", "is empty"), ("--perm-out", "", "is empty"), ("--obs-out", "", "is empty")])
     def test_bad_output_path_writes_nothing(self, tmp_path, capsys, monkeypatch, flag,
                                             where, message):
         monkeypatch.chdir(tmp_path)
@@ -293,12 +294,13 @@ class TestEstimate:
     # the fitted path is checked before the fit, and the summary is printed
     # only once the fitted matrix is written
     @pytest.mark.parametrize("where, message", [("nodir/f.csv", "no directory"),
-                                                (".", "is a directory")])
-    def test_bad_fitted_path_prints_nothing(self, instance, tmp_path, capsys, where,
-                                            message):
+                                                (".", "is a directory"), ("", "is empty")])
+    def test_bad_fitted_path_prints_nothing(self, instance, tmp_path, capsys, monkeypatch,
+                                            where, message):
         _, _, obs = instance
+        monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, "estimate", "--method", "ranksum", "--in", obs,
-                                 "--fitted-out", tmp_path / where)
+                                 "--fitted-out", where)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and message in err
@@ -451,7 +453,7 @@ class TestExperiment:
         assert "no output path" in err
 
     @pytest.mark.parametrize("where, message", [("no-dir/x.csv", "no directory"),
-                                                (".", "is a directory")])
+                                                (".", "is a directory"), ("", "is empty")])
     def test_unwritable_out_refused_before_run(self, tmp_path, capsys, monkeypatch,
                                                where, message):
         # a path that cannot take the records is refused before any preset runs
@@ -459,8 +461,9 @@ class TestExperiment:
             pytest.fail("experiment ran with an unwritable output path")
 
         monkeypatch.setattr(experiments, "run_experiment", run_experiment)
+        monkeypatch.chdir(tmp_path)
         code, stdout, err = run_cli(capsys, "experiment", "--figure", "2-left",
-                                    "--n-max", 64, "--out", tmp_path / where)
+                                    "--n-max", 64, "--out", where)
         assert code == 2
         assert stdout == ""
         assert err.startswith("error:") and message in err

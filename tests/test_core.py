@@ -100,6 +100,11 @@ class TestPermutation:
             with pytest.raises(ValueError, match="n must be an integer"):
                 make(n)
 
+    @pytest.mark.parametrize("rng", [None, 0, np.random.default_rng(0).bit_generator])
+    def test_random_needs_a_generator(self, rng):
+        with pytest.raises(ValueError, match="rng must be a Generator"):
+            Permutation.random(3, rng)
+
     @pytest.mark.parametrize("bad", [[None], ["1", "0"], [True, False]])
     def test_entries_that_are_no_numbers_rejected(self, bad):
         with pytest.raises(ValueError, match="integers"):

@@ -108,6 +108,13 @@ class TestConfig:
         cfg = tiny_config(grid=((np.int64(4), np.int64(2)),), seed=np.int64(3))
         assert cfg.grid == ((4, 2),) and type(cfg.grid[0][0]) is int
 
+    # refused when the config is built, not when the first run derives its rng
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_unsigned_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            ExperimentConfig(family="triangular", methods=["oracle"], grid=[[4, 4]], seed=seed)
+        tiny_config(seed=2**64 - 1)
+
     def test_non_finite_noise_and_threshold_rejected(self):
         for kwargs in ({"sigma": math.nan}, {"sigma": math.inf}, {"tau": math.nan},
                        {"tau_constant": math.inf}):

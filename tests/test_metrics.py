@@ -159,10 +159,11 @@ class TestRStatistic:
         assert rep.r_value == 1.0
         assert rep.r_degenerate
 
-    # tiles of a few rows up to the whole matrix, triangle chunks of one
-    # entry up to the default size (which also bound the rows per block) and
-    # one to three scoring threads; integer draws give ties and identical
-    # rows, and "step-down" columns decrease by less than EPS
+    # tiles of a few rows up to the whole matrix, score budgets of one entry
+    # up to the default size (which size the row blocks and their pending
+    # panels, down to one row per block) and one to three scoring threads;
+    # integer draws give ties and identical rows, and "step-down" columns
+    # decrease by less than EPS
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([1, 2, 3, 17, 64, 129, 257]),
            m=st.sampled_from([1, 2, 7, 64, 256]),
@@ -208,6 +209,24 @@ class TestRStatistic:
         with mock.patch.object(metrics, "_R_WORKERS", workers), \
                 mock.patch.object(core, "_ROW_BLOCK_BYTES", 8 * 6 * 3):
             assert r_statistic(a) == r_statistic_reference(a)
+
+    # no scratch array of R passes the score budget, although all pending
+    # scores together would fill a 16 MB triangle at n = 2048
+    def test_scratch_arrays_within_the_score_budget(self, monkeypatch):
+        n = 2048
+        a = np.sort(derive_rng(25).normal(size=(n, 3)), axis=0)
+        sizes = []
+        empty = np.empty
+
+        def recording(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            sizes.append(out.nbytes)
+            return out
+
+        monkeypatch.setattr(np, "empty", recording)
+        r_statistic(a)
+        assert sum(sizes) >= 8 * n * (n - 1) // 2
+        assert max(sizes) <= metrics._R_CHUNK_BYTES
 
     # more threads than cores, switching as often as the interpreter allows:
     # a row scored twice or never would change the bits
