@@ -23,7 +23,8 @@ import os
 import sys
 
 from . import experiments, metrics, synth
-from .core import read_matrix_csv, read_permutation, write_matrix_csv, write_permutation
+from .core import (_check_length, read_matrix_csv, read_permutation, write_matrix_csv,
+                   write_permutation)
 from .estimators import METHODS, EstimatorConfig, estimation_losses, fit
 from .shape import MONOTONE, UNIMODAL
 
@@ -147,9 +148,15 @@ def _cmd_estimate(args) -> int:
         raise ValueError("--sigma is the noise level of --tau-rule, which was not given")
     if args.fitted_out is not None:
         _check_out_path(args.fitted_out)
+    # the truth is read after the fit, so that it adds nothing to the fit's
+    # peak memory, but a missing file is refused before it
+    if args.truth and not os.path.isfile(args.truth):
+        raise ValueError(f"--truth {args.truth} is no existing file")
     y = read_matrix_csv(args.observation)
     n, m = y.shape
     p_true = read_permutation(args.perm) if args.perm else None
+    if p_true is not None:
+        _check_length(p_true, n)
     result = fit(args.method, y, cfg, p_true)
 
     summary = {

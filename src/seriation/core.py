@@ -11,10 +11,12 @@ in the package are translated once, at this boundary.
 
 from __future__ import annotations
 
+import gc
 import math
 import numbers
 import os
 import re
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -217,6 +219,105 @@ def _block_rows(m: int) -> int:
     return max(1, _ROW_BLOCK_BYTES // (8 * max(m, 1)))
 
 
+# ---------------------------------------------------------------------------
+# Splitting a loop across CPUs. Threads help only where numpy releases the
+# GIL; the pure-Python loops (the unimodal sweeps and '%' formatting) are
+# split across forked processes instead.
+# ---------------------------------------------------------------------------
+
+# Threads or processes that share one loop: one per CPU this process may run
+# on, and at most 4, so that their scratch stays a few MB.
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+# A forked process takes at least this many matrix entries. On a 2-core
+# Xeon, with numpy loaded, forking one child that does nothing and reaping
+# it takes about 2 ms. Split in two parts of 2^14 entries each, a write
+# gained nothing (15.5 ms in one process, 14.6-18.3 ms in two) and a
+# unimodal fit did not gain every time; at 2^16 entries each, a write took
+# 35-36 ms against 59-62 ms and a unimodal fit 85-196 ms against 161-170 ms
+# (256-row matrices, medians of 7 calls). The golden cases, all below the
+# cut-off, run in-process.
+_FORK_MIN_ENTRIES = 1 << 16
+
+
+def _fork_parts(units: int, unit_entries: int) -> int:
+    """Processes for a loop over ``units`` units of ``unit_entries`` matrix
+    entries each: 1, the loop runs here, unless ``os.fork`` exists, more
+    than one CPU is available, this is the only Python thread (a child gets
+    only the forking thread, so a lock that another one holds would never
+    be released there), and each part gets at least ``_FORK_MIN_ENTRIES``
+    entries."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return 1
+    return max(1, min(_WORKERS, units, units * unit_entries // _FORK_MIN_ENTRIES))
+
+
+def _cuts(units: int, parts: int) -> list[int]:
+    """Bounds of ``parts`` contiguous ranges of ``units`` units, as even as
+    they can be: range i is ``cuts[i]:cuts[i + 1]``."""
+    return [units * i // parts for i in range(parts + 1)]
+
+
+def _fork_join(parts: int, run, gather, shared_bytes: int = 0) -> None:
+    """Run the ``parts`` parts of a loop at once: ``run(0, None)`` here and
+    ``run(i, shared)`` in a forked child for each other part ``i``, where
+    ``shared`` is an anonymous mmap of ``shared_bytes`` bytes that the
+    children write their results into (one part: ``run(0, None)`` alone).
+    Once every child is reaped, ``gather(i, shared)`` takes part i's result
+    for each child in order; a child that could not be forked, exited
+    non-zero or was killed has its part run here instead, as
+    ``run(i, None)``, so its error is raised with its usual message.
+    ``run(i, None)`` puts its result where the caller wants it.
+
+    A child runs only its part and leaves with ``os._exit``: it never
+    returns into the caller's stack, runs no exit handlers and flushes no
+    inherited buffers. If this process raises, every child still running
+    is killed; every child is reaped before this returns or raises. The
+    mmap is unmapped once the last view of it is gone.
+    """
+    if parts == 1:
+        run(0, None)
+        return
+    import mmap  # only a loop that forks needs it
+    import signal
+
+    shared = mmap.mmap(-1, max(shared_bytes, 1))
+    pids = {}
+    try:
+        for i in range(1, parts):
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: run(i, None) below
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    # a collection would touch, and so copy, every page
+                    # of objects, and could finalize an inherited file
+                    gc.disable()
+                    run(i, shared)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids[i] = pid
+        run(0, None)
+        ok = set()
+        for i, pid in list(pids.items()):
+            if os.waitpid(pid, 0)[1] == 0:
+                ok.add(i)
+            del pids[i]
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for i in range(1, parts):
+        if i in ok:
+            gather(i, shared)
+        else:
+            run(i, None)
+
+
 def _sq_dist(a: np.ndarray, b: np.ndarray, ia=None, ib=None) -> float:
     """Sum over k of ``||a[ia[k]] - b[ib[k]]||^2``, for float64 matrices of
     equal width and index arrays of equal length; an index array left None
@@ -340,11 +441,39 @@ def write_matrix_csv(a: np.ndarray, path) -> None:
 
 
 def _write_csv_rows(a: np.ndarray, f) -> None:
-    # one % per row; a whole-matrix tolist() or join costs tens of MB at
-    # 2048 x 256
-    fmt = ",".join(["%.17g"] * a.shape[1]) + "\n"
-    for row in a:
-        f.write(fmt % tuple(row.tolist()))
+    """Write the rows of ``a`` to the file ``f``, one ``%`` per row: a
+    whole-matrix ``tolist()`` or join costs tens of MB at 2048 x 256.
+
+    A large matrix is formatted in row ranges on several processes: each
+    child writes its rows into a memory file of its own, which is appended
+    to ``f`` in order with ``os.sendfile``, so the text of a child never
+    passes through this process.
+    """
+    n, m = a.shape
+    fmt = ",".join(["%.17g"] * m) + "\n"
+    parts = _fork_parts(n, m) if hasattr(os, "memfd_create") else 1
+    cuts = _cuts(n, parts)
+    fds = [os.memfd_create("matrix-csv") for _ in range(1, parts)]
+
+    def run(i, shared):
+        g = f if shared is None else open(fds[i - 1], "w", newline="\n", closefd=False)
+        for row in a[cuts[i]:cuts[i + 1]]:
+            g.write(fmt % tuple(row.tolist()))
+        if g is not f:
+            g.close()
+
+    def gather(i, shared):
+        f.flush()
+        fd, sent = fds[i - 1], 0
+        size = os.fstat(fd).st_size
+        while sent < size:
+            sent += os.sendfile(f.fileno(), fd, sent, size - sent)
+
+    try:
+        _fork_join(parts, run, gather)
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def _write_csv_by_value(a: np.ndarray, f) -> None:

@@ -16,7 +16,6 @@ Three scalars summarize how hard a monotone matrix is to recover from noise:
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -102,11 +101,9 @@ def variation(a) -> tuple[float, np.ndarray]:
 # heap.
 _R_CHUNK_BYTES = 1 << 21
 
-# Threads that score pairs, the calling one included: one per CPU this
-# process may run on, and at most 4, so that their scratch stays a few MB.
+# Threads that score pairs, the calling one included: core's one per CPU.
 # numpy releases the GIL inside the ufuncs of the row kernel.
-_R_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
+_R_WORKERS = core._WORKERS
 
 # Rows scored by the threads between two joins, at most; the calling thread
 # then feeds them to the selection in row order.

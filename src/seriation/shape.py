@@ -354,18 +354,53 @@ def _project_columns(a: np.ndarray, shape: ShapeSpec, rows=None) -> np.ndarray:
             w.fill(1.0)
             r.fill(-1)
             pava(y, w, r)  # fits y in place
-    elif shape.kind == "unimodal":
-        def fit(y):
-            y[:] = unimodal_fit(y).fitted
     else:
-        def fit(y):
-            y[:] = _fixed_mode_fill(y, shape.mode)
+        return _project_split(a, shape, rows)
     out = np.empty((n, a.shape[1]))
     # the fits write into the panel buffer, never into ``a``
     for cols, panel in _column_panels(a, rows):
         for y in panel:
             fit(y)
         out[:, cols] = panel.T
+    return out
+
+
+def _project_split(a: np.ndarray, shape: ShapeSpec, rows=None) -> np.ndarray:
+    """:func:`_project_columns` onto the unimodal or a fixed-mode cone. Each
+    column takes two pure-Python sweeps, so a large matrix is fitted in
+    contiguous ranges of columns on several processes: a child leaves its
+    fitted columns in shared memory, one column per contiguous row, and
+    they are copied into the result here. Each column is fitted by the same
+    code, so the bytes do not depend on the split."""
+    n, m = a.shape[0] if rows is None else rows.size, a.shape[1]
+    if shape.kind == "unimodal":
+        def fit(y):
+            y[:] = unimodal_fit(y).fitted
+    else:
+        def fit(y):
+            y[:] = _fixed_mode_fill(y, shape.mode)
+    parts = core._fork_parts(m, n)
+    cuts = core._cuts(m, parts)
+    out = np.empty((n, m))
+
+    def held(i, shared):
+        """Part i's columns in the children's shared memory."""
+        fitted = np.frombuffer(shared, dtype=np.float64).reshape(-1, n)
+        return fitted[cuts[i] - cuts[1]:cuts[i + 1] - cuts[1]]
+
+    def run(i, shared):
+        c0 = cuts[i]
+        dest = out[:, c0:cuts[i + 1]].T if shared is None else held(i, shared)
+        # the fits write into the panel buffer, never into ``a``
+        for cols, panel in _column_panels(a[:, c0:cuts[i + 1]], rows):
+            for y in panel:
+                fit(y)
+            dest[cols] = panel
+
+    def gather(i, shared):
+        out[:, cuts[i]:cuts[i + 1]] = held(i, shared).T
+
+    core._fork_join(parts, run, gather, 8 * n * (m - cuts[1]))
     return out
 
 

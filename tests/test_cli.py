@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,6 +258,42 @@ class TestEstimate:
                                "--in", obs, "--perm", perm)
         assert code == 2
         assert err.startswith("error:") and "permutation length 10" in err
+
+    # a --perm of the wrong length was read and ignored by the methods that
+    # do not take it, and with --truth was caught only after the fit
+    @pytest.mark.parametrize("method", METHODS)
+    def test_perm_length_checked_before_the_fit(self, tmp_path, capsys, monkeypatch,
+                                                method):
+        obs, short = tmp_path / "y.csv", tmp_path / "short.txt"
+        obs.write_text("0,1\n1,2\n2,3\n3,4\n")
+        short.write_text("0\n1\n2\n")
+        monkeypatch.setattr(cli, "fit", mock.Mock(side_effect=AssertionError("fitted")))
+        code, out, err = run_cli(capsys, "estimate", "--method", method, "--in", obs,
+                                 "--perm", short)
+        assert (code, out) == (2, "")
+        assert err == "error: permutation length 3 does not match row count 4\n"
+
+    def test_perm_length_checked_before_the_fit_with_truth(self, tmp_path, capsys,
+                                                           monkeypatch):
+        obs, short = tmp_path / "y.csv", tmp_path / "short.txt"
+        obs.write_text("0,1\n1,2\n2,3\n3,4\n")
+        short.write_text("0\n1\n2\n")
+        monkeypatch.setattr(cli, "fit", mock.Mock(side_effect=AssertionError("fitted")))
+        code, out, err = run_cli(capsys, "estimate", "--method", "ranksum", "--in", obs,
+                                 "--perm", short, "--truth", obs)
+        assert (code, out) == (2, "")
+        assert err == "error: permutation length 3 does not match row count 4\n"
+
+    @pytest.mark.parametrize("where", ["nothere.csv", "."])
+    def test_missing_truth_refused_before_the_fit(self, instance, tmp_path, capsys,
+                                                  monkeypatch, where):
+        _, perm, obs = instance
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "fit", mock.Mock(side_effect=AssertionError("fitted")))
+        code, out, err = run_cli(capsys, "estimate", "--method", "oracle", "--shape",
+                                 "unimodal", "--in", obs, "--perm", perm, "--truth", where)
+        assert (code, out) == (2, "")
+        assert err == f"error: --truth {where} is no existing file\n"
 
     def test_overflowing_unimodal_fit_is_error_code(self, tmp_path, capsys):
         obs, perm = tmp_path / "y.csv", tmp_path / "p.txt"

@@ -1,15 +1,19 @@
 import io
+import os
 import re
+import signal
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from forking import assert_no_child_left, counted_forks, forks_on, no_forks
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import read_matrix_csv_reference
+from oracles import project_columns_reference, read_matrix_csv_reference
 
-from seriation import core
+from seriation import core, metrics, shape
 from seriation.core import (
     Permutation,
     check_matrix,
@@ -413,3 +417,89 @@ class TestReaderAgainstReference:
         assert kinds[0] == kinds[1] and len(kinds[0]) == 1
         lines = [re.findall(r"at line (\d+)", e) for e in errors]
         assert lines[0] == lines[1]
+
+
+class TestForkedCsv:
+    """A drawn matrix written in row ranges on forked children has the bytes
+    of the in-process loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.integers(1, 12).flatmap(lambda n: st.integers(1, 5).flatmap(
+        lambda m: arrays(np.float64, (n, m), elements=st.floats(
+            allow_nan=False, allow_infinity=False)))), workers=st.integers(2, 4))
+    def test_forked_write_keeps_bytes(self, tmp_path_factory, a, workers):
+        d = tmp_path_factory.mktemp("csv")
+        with mock.patch.object(core, "_WORKERS", 1), no_forks():
+            write_matrix_csv(a, d / "here.csv")
+        with forks_on(workers):
+            write_matrix_csv(a, d / "forked.csv")
+        assert (d / "forked.csv").read_bytes() == (d / "here.csv").read_bytes()
+        assert read_matrix_csv(d / "forked.csv").tobytes() == a.tobytes()
+        assert_no_child_left()
+
+    def test_each_range_is_forked(self, tmp_path):
+        a = derive_rng(5).normal(size=(50, 7)) * 10.0 ** derive_rng(6).integers(-300, 300, (50, 7))
+        with mock.patch.object(core, "_WORKERS", 1):
+            write_matrix_csv(a, tmp_path / "here.csv")
+        for workers in (2, 3, 4):
+            with forks_on(workers), counted_forks() as pids:
+                write_matrix_csv(a, tmp_path / "forked.csv")
+            assert len(pids) == workers - 1
+            assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+            assert_no_child_left()
+
+    def test_killed_child_range_is_written_here(self, tmp_path, monkeypatch):
+        a = derive_rng(7).normal(size=(30, 4))
+        with mock.patch.object(core, "_WORKERS", 1):
+            write_matrix_csv(a, tmp_path / "here.csv")
+        parent = os.getpid()
+
+        def open_in_child(*args, **kwargs):  # a child opens only its memory file
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(core, "open", open_in_child, raising=False)
+        with forks_on(3), counted_forks() as pids:
+            write_matrix_csv(a, tmp_path / "forked.csv")
+        assert len(pids) == 2
+        assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+        assert_no_child_left()
+
+
+class TestForkGate:
+    """The loops fork only when they may: never beside a second thread, for
+    a small input or on one CPU."""
+
+    def calls(self, tmp_path):
+        a = derive_rng(9).normal(size=(40, 6))
+        path = tmp_path / "a.csv"
+        write_matrix_csv(a, path)
+        assert read_matrix_csv(path).tobytes() == a.tobytes()
+        assert shape._project_columns(a, shape.UNIMODAL).tobytes() == \
+            project_columns_reference(a, shape.UNIMODAL).tobytes()
+        assert shape._project_columns(a, shape.fixed_mode(3)).tobytes() == \
+            project_columns_reference(a, shape.fixed_mode(3)).tobytes()
+
+    def test_no_fork_beside_a_second_thread(self, tmp_path):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with forks_on(3), no_forks():
+                self.calls(tmp_path)
+        finally:
+            stop.set()
+            thread.join()
+
+    def test_no_fork_for_a_small_input(self, tmp_path):
+        with mock.patch.object(core, "_WORKERS", 4), no_forks():
+            self.calls(tmp_path)
+
+    def test_no_fork_on_one_cpu(self, tmp_path):
+        with forks_on(1), no_forks():
+            self.calls(tmp_path)
+
+    def test_one_cpu_count(self):
+        assert metrics._R_WORKERS == core._WORKERS
+        assert 1 <= core._WORKERS <= 4

@@ -1,9 +1,12 @@
 import importlib.machinery
+import os
+import signal
 import sys
 from unittest import mock
 
 import numpy as np
 import pytest
+from forking import assert_no_child_left, counted_forks, forks_on, no_forks
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -570,3 +573,60 @@ class TestShapeSpec:
             ShapeSpec("monotone", mode=2)
         with pytest.raises(ValueError):
             ShapeSpec("nonsense")
+
+
+class TestForkedProjection:
+    """The unimodal and fixed-mode projections fitted in column ranges on
+    forked children equal the in-process fit to the bit, and every error
+    is raised here with its usual message."""
+
+    # fewer columns than workers, one row, ties on the integer grid
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 5, 17]), m=st.integers(1, 7), workers=st.integers(2, 4),
+           data=st.data())
+    def test_forked_columns_are_bitwise_equal(self, n, m, workers, data):
+        a = data.draw(arrays(np.float64, (n, m), elements=st.one_of(_grid, entries)))
+        cone = data.draw(st.sampled_from(["unimodal", "fixed-mode"]))
+        shape = fixed_mode(data.draw(st.integers(1, n))) if cone == "fixed-mode" else UNIMODAL
+        rows = data.draw(st.one_of(st.none(), st.permutations(range(n)).map(
+            lambda p: np.array(p, dtype=np.int64))))
+        with mock.patch.object(core, "_WORKERS", 1), no_forks():
+            want = _project_columns(a, shape, rows)
+        with forks_on(workers), counted_forks() as pids:
+            got = _project_columns(a, shape, rows)
+        assert len(pids) == min(workers, m) - 1
+        assert got.tobytes() == want.tobytes()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("column", [0, 3], ids=["here", "in-a-child"])
+    def test_overflow_raises_the_usual_error(self, column):
+        a = np.zeros((5, 4))
+        a[:, column] = [1, 1e308, -1e308, 3, 2]
+        with forks_on(2), counted_forks() as pids, pytest.raises(
+                ValueError, match="^squared error of the fit overflows float64$"):
+            _project_columns(a, UNIMODAL)
+        assert len(pids) == 1
+        assert_no_child_left()
+
+    def test_killed_child_range_is_fitted_here(self, monkeypatch):
+        a = derive_rng(3).normal(size=(6, 5))
+        want = _project_columns(a, UNIMODAL)
+        parent, fit = os.getpid(), shape_module.unimodal_fit
+
+        def fit_here_only(y):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fit(y)
+
+        monkeypatch.setattr(shape_module, "unimodal_fit", fit_here_only)
+        with forks_on(3), counted_forks() as pids:
+            got = _project_columns(a, UNIMODAL)
+        assert len(pids) == 2
+        assert got.tobytes() == want.tobytes()
+        assert_no_child_left()
+
+    def test_monotone_branch_never_forks(self):
+        a = derive_rng(4).normal(size=(20, 9))
+        with forks_on(3), no_forks():
+            got = _project_columns(a, MONOTONE)
+        assert got.tobytes() == project_columns_reference(a, MONOTONE).tobytes()
